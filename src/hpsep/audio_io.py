@@ -2,6 +2,7 @@
 
 Readable inputs are RIFF/WAVE files holding 16-bit PCM or 32-bit IEEE
 float, mono or stereo; stereo is downmixed by averaging the channels.
+Float files holding NaN or Inf are rejected.
 Everything downstream runs at 44.1 kHz, so other rates are rejected
 unless explicitly waived (there is no resampler here). Output is always
 float-32 mono, which round-trips bit-exactly.
@@ -19,7 +20,7 @@ _PCM16_SCALE = 32768.0
 
 
 class AudioError(ValueError):
-    """Unreadable, unsupported, or wrong-rate audio file."""
+    """Unreadable, unsupported, non-finite, or wrong-rate audio file."""
 
 
 def read_wav(path, allow_other_rate=False):
@@ -38,6 +39,8 @@ def read_wav(path, allow_other_rate=False):
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM16_SCALE
     elif data.dtype == np.float32:
+        if not np.all(np.isfinite(data)):
+            raise AudioError(f"{path}: non-finite samples (NaN or Inf)")
         samples = data.astype(np.float64)
     else:
         raise AudioError(

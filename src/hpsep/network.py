@@ -22,6 +22,8 @@ decoder block.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -47,7 +49,7 @@ __all__ = [
 BRANCH_KERNELS = ((3, 3), (13, 1), (1, 13))
 
 # Defaults sized so the trainable parameter count lands near 555k
-# (see tools/fit_param_budget.py and the param-count CLI command).
+# (acceptance criterion 3 and the param-count CLI command pin it).
 # At these values the model holds exactly 552,062 trainable scalars.
 DEFAULT_GROWTH_RATE = 10
 DEFAULT_LAYERS_PER_BLOCK = 5
@@ -335,7 +337,23 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def save_checkpoint(path, cfg, stats, store):
-    """Write architecture config, normalization stats, and all arrays."""
+    """Write architecture config, normalization stats, and all arrays.
+
+    The bytes go to a sibling ``<name>.tmp`` that then replaces ``path`` in
+    one rename, so a write that fails partway leaves the previous
+    checkpoint intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        _write_checkpoint(tmp, cfg, stats, store)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(path, cfg, stats, store):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))

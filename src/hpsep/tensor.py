@@ -10,6 +10,12 @@ Layout convention: feature maps are channel-major ``(C, H, W)``, with an
 optional leading batch axis ``(N, C, H, W)``. Spatial ops accept either
 rank and return the rank they were given. Data is float64 by default;
 float32 is kept when the caller supplies it.
+
+``conv2d`` follows a narrow-side rule: its forward pass, input gradient
+and weight gradient each make kh*kw shifted copies of whichever of the
+input or output has fewer channels, never of the wider one. With
+C_out < C_in the forward pass is kn2row (one GEMM into per-tap planes,
+then a shift-add; Vasudevan et al. 2017, arXiv:1704.04428).
 """
 
 from __future__ import annotations
@@ -268,8 +274,11 @@ def _shifted_columns(xb, kh, kw):
 
     Returns (N, C*kh*kw, H*W): row (c, i, j) holds the input shifted so that
     tap (i, j) of a same-padded correlation reads it at the output position.
+    A 1x1 kernel has no shift, so the input itself comes back as a view.
     """
     n, c, h, wd = xb.shape
+    if kh == kw == 1:
+        return xb.reshape(n, c, h * wd)
     ph, pw = kh // 2, kw // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols = np.empty((n, c, kh, kw, h, wd), dtype=xb.dtype)
@@ -279,11 +288,45 @@ def _shifted_columns(xb, kh, kw):
     return cols.reshape(n, c * kh * kw, h * wd)
 
 
+def _shift_add(planes, kh, kw, h, wd):
+    """Adjoint of ``_shifted_columns``: sum per-tap planes back onto the map.
+
+    planes: (N, C*kh*kw, H*W) with rows ordered (c, i, j). Plane (c, i, j)
+    is shifted the opposite way to tap (i, j) of ``_shifted_columns`` and
+    added into channel c; whatever lands in the padding is dropped.
+    Returns (N, C, H, W).
+    """
+    n = planes.shape[0]
+    c = planes.shape[1] // (kh * kw)
+    if kh == kw == 1:
+        return planes.reshape(n, c, h, wd)
+    ph, pw = kh // 2, kw // 2
+    p = planes.reshape(n, c, kh, kw, h, wd)
+    acc = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=planes.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, i : i + h, j : j + wd] += p[:, :, i, j]
+    return acc[:, :, ph : ph + h, pw : pw + wd]
+
+
 def conv2d(x, weight, bias):
     """2-D cross-correlation with stride 1 and symmetric zero same-padding.
 
     weight: (C_out, C_in, kh, kw) with odd kh, kw. bias: (C_out,).
     Output spatial size equals input spatial size.
+
+    Each of the three products (the output, dx and dw) is one GEMM plus a
+    tap stack or shift-add over whichever side has fewer channels, so the
+    wide side is never copied kh*kw times:
+
+    - C_out < C_in: forward is kn2row, one GEMM of the kernel against the
+      unshifted input into kh*kw*C_out per-tap planes, then a shift-add.
+      Backward shifts the output gradient once and uses those copies for
+      both dx and dw.
+    - C_in <= C_out: forward is im2col over the input. Backward shifts the
+      input for dw and computes dx kn2row-style, GEMM then shift-add.
+
+    A 1x1 kernel makes every product a plain GEMM.
     """
     xb, was3d = _batched(x.data)
     w = weight.data
@@ -299,31 +342,49 @@ def conv2d(x, weight, bias):
         raise ValueError(f"bias shape {b.shape} does not match {c_out} output channels")
 
     n, _, h, wd = xb.shape
-    ph, pw = kh // 2, kw // 2
+    taps = kh * kw
+    narrow_out = c_out < c_in
+    xr = xb.reshape(n, c_in, h * wd)
 
-    # one matmul per call: (1, C_out, C_in*kh*kw) @ (N, C_in*kh*kw, H*W)
-    cols = _shifted_columns(xb, kh, kw)
-    out = (w.reshape(1, c_out, c_in * kh * kw) @ cols).reshape(n, c_out, h, wd)
-    out += b[:, None, None]
-    del cols  # rebuilt on demand in fn; keeping it would pin kh*kw input copies
+    if narrow_out:
+        # output = sum over taps of shift(W_tap @ x); _shift_add shifts the
+        # opposite way, so it is fed the planes of the flipped kernel
+        wrows = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * taps, c_in)
+        planes = wrows @ xr
+        out = _shift_add(planes, kh, kw, h, wd)
+        out += b[:, None, None]
+    else:
+        cols = _shifted_columns(xb, kh, kw)
+        out = (w.reshape(c_out, c_in * taps) @ cols).reshape(n, c_out, h, wd)
+        out += b[:, None, None]
+        del cols  # rebuilt on demand in fn; keeping it would pin kh*kw input copies
 
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
         dx = dw = db = None
         if bias.requires_grad:
             db = gb.sum(axis=(0, 2, 3))
-        if weight.requires_grad:
-            xcols = _shifted_columns(xb, kh, kw)
+        if narrow_out:
+            # the adjoint of tap (i, j) is the shift of the flipped tap, so one
+            # stack of output-gradient shifts serves dx and dw alike
+            if x.requires_grad or weight.requires_grad:
+                gcols = _shifted_columns(gb, kh, kw)
+            if weight.requires_grad:
+                dwt = (gcols @ xr.transpose(0, 2, 1)).sum(axis=0)
+                dw = dwt.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            if x.requires_grad:
+                wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
+                dx = (wflip @ gcols).reshape(n, c_in, h, wd)
+        else:
             gr = gb.reshape(n, c_out, h * wd)
-            dw = np.tensordot(gr, xcols, axes=([0, 2], [0, 2])).reshape(w.shape)
-        if x.requires_grad:
-            # input gradient of a same-padded correlation is the correlation
-            # of the output gradient with the spatially flipped kernel
-            gcols = _shifted_columns(gb, kh, kw)
-            wflip = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            dx = (wflip.reshape(1, c_in, c_out * kh * kw) @ gcols).reshape(n, c_in, h, wd)
-            if was3d:
-                dx = dx[0]
+            if weight.requires_grad:
+                xcols = _shifted_columns(xb, kh, kw)
+                dw = (gr @ xcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            if x.requires_grad:
+                wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
+                dx = _shift_add(wrows @ gr, kh, kw, h, wd)
+        if dx is not None and was3d:
+            dx = dx[0]
         return (dx, dw, db)
 
     result = out[0] if was3d else out

@@ -323,6 +323,8 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt",
             model.store.zero_grad()
             loss.backward()
             adam_step(model.store, state)
+            # free this step's graph now, or it stays alive through the next forward
+            del mp, mh, loss
             total += value * len(chunk)
         train_loss = total / len(train_examples)
         val_loss = _epoch_loss(model, val_examples, stats, cfg, cfg.batch_size)

@@ -318,6 +318,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        model, stats, path = self.roundtrip_model(tmp_path)
+        before = path.read_bytes()
+        for t in model.store.params.values():
+            t.data += 1.0  # a later training state
+        # an unserializable buffer dtype raises after the parameters are written
+        model.store.buffers["zz.bad"] = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="cannot serialize"):
+            save_checkpoint(path, model.cfg, stats, model.store)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
     def test_rejects_truncation(self, tmp_path):
         _, _, path = self.roundtrip_model(tmp_path)
         blob = path.read_bytes()

@@ -184,6 +184,119 @@ class TestConv2d:
         assert_gradients_match(loss, [x, w, b], names=["x", "w", "b"])
 
 
+def naive_conv(x, w, b, proj):
+    """Same-padded correlation and the gradients of sum(out * proj), by loops.
+
+    x: (N, C_in, H, W); w: (C_out, C_in, kh, kw). Returns (out, dx, dw, db).
+    """
+    n, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, c_in, h + 2 * ph, wd + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    dxp = np.zeros_like(xp)
+    out = np.zeros((n, c_out, h, wd))
+    dw = np.zeros(w.shape)
+    for o in range(c_out):
+        for c in range(c_in):
+            for i in range(kh):
+                for j in range(kw):
+                    window = xp[:, c, i : i + h, j : j + wd]
+                    out[:, o] += w[o, c, i, j] * window
+                    dw[o, c, i, j] = (proj[:, o] * window).sum()
+                    dxp[:, c, i : i + h, j : j + wd] += w[o, c, i, j] * proj[:, o]
+    out += b[None, :, None, None]
+    dx = dxp[:, :, ph : ph + h, pw : pw + wd]
+    return out, dx, dw, proj.sum(axis=(0, 2, 3))
+
+
+# (x shape, kernel shape): both narrow sides, equal widths, 1x1, tall and
+# wide kernels longer than the map (on heights 9 and widths 8 every tap still
+# reads the map; on heights 5 and widths 3-4 the outer taps read only
+# padding), 3-D and 4-D
+CONV_CASES = [
+    ((2, 6, 7, 9), (3, 6, 3, 3)),
+    ((2, 2, 7, 9), (5, 2, 3, 3)),
+    ((1, 4, 6, 5), (4, 4, 3, 3)),
+    ((2, 5, 6, 6), (2, 5, 1, 1)),
+    ((2, 2, 6, 6), (5, 2, 1, 1)),
+    ((1, 3, 5, 4), (2, 3, 13, 1)),
+    ((1, 2, 9, 3), (4, 2, 13, 1)),
+    ((1, 4, 5, 8), (2, 4, 1, 13)),
+    ((1, 2, 3, 4), (3, 2, 1, 13)),
+    ((4, 5, 8), (2, 4, 1, 13)),
+    ((6, 5, 7), (2, 6, 3, 3)),
+    ((2, 5, 7), (6, 2, 3, 3)),
+]
+
+
+def conv_case(rng, xshape, wshape, frozen=None, dtype=np.float64):
+    x, w, b = (
+        Tensor(rng.standard_normal(s).astype(dtype), requires_grad=name != frozen)
+        for name, s in (("x", xshape), ("w", wshape), ("b", wshape[:1]))
+    )
+    proj = rng.standard_normal(xshape[:-3] + (wshape[0],) + xshape[-2:]).astype(dtype)
+    return x, w, b, proj
+
+
+def naive_for(x, w, b, proj):
+    """naive_conv on float64 copies, with a 3-D case promoted and restored."""
+    batched = x.data.ndim == 4
+    xs = x.data if batched else x.data[None]
+    ps = proj if batched else proj[None]
+    out, dx, dw, db = naive_conv(
+        xs.astype(np.float64), w.data.astype(np.float64), b.data.astype(np.float64),
+        ps.astype(np.float64),
+    )
+    if not batched:
+        out, dx = out[0], dx[0]
+    return out, dx, dw, db
+
+
+class TestConv2dNarrowSide:
+    @pytest.mark.parametrize("xshape, wshape", CONV_CASES)
+    def test_matches_naive_loops(self, rng, xshape, wshape):
+        x, w, b, proj = conv_case(rng, xshape, wshape)
+        out = conv2d(x, w, b)
+        (out * proj).sum().backward()
+        ref = naive_for(x, w, b, proj)
+        for name, got, want in zip(("out", "dx", "dw", "db"),
+                                   (out.data, x.grad, w.grad, b.grad), ref):
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("xshape, wshape", CONV_CASES)
+    def test_gradients_match_finite_differences(self, rng, xshape, wshape):
+        x, w, b, proj = conv_case(rng, xshape, wshape)
+
+        def loss():
+            return (conv2d(x, w, b) * proj).sum()
+
+        assert_gradients_match(loss, [x, w, b], names=["x", "w", "b"])
+
+    @pytest.mark.parametrize("frozen", ["x", "w", "b"])
+    @pytest.mark.parametrize("xshape, wshape", [CONV_CASES[0], CONV_CASES[1]])
+    def test_frozen_operand_gets_no_gradient(self, rng, xshape, wshape, frozen):
+        x, w, b, proj = conv_case(rng, xshape, wshape, frozen=frozen)
+        (conv2d(x, w, b) * proj).sum().backward()
+        ref = naive_for(x, w, b, proj)[1:]
+        for t, want in zip((x, w, b), ref):
+            if t.requires_grad:
+                np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12)
+            else:
+                assert t.grad is None
+
+    @pytest.mark.parametrize("xshape, wshape", [CONV_CASES[0], CONV_CASES[1], CONV_CASES[8]])
+    def test_float32_stays_float32(self, rng, xshape, wshape):
+        x, w, b, proj = conv_case(rng, xshape, wshape, dtype=np.float32)
+        out = conv2d(x, w, b)
+        (out * proj).sum().backward()
+        assert out.dtype == np.float32
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), naive_for(x, w, b, proj)):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
 class TestMaxpool2:
     def test_values(self):
         x = tens([[[1.0, 2.0], [4.0, 3.0]]])

@@ -85,6 +85,15 @@ class TestWavIO:
         with pytest.raises(AudioError, match="unsupported sample format"):
             read_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        samples = np.zeros(100, dtype=np.float32)
+        samples[37] = bad
+        wavfile.write(path, 44100, samples)
+        with pytest.raises(AudioError, match="non-finite"):
+            read_wav(path)
+
     def test_write_rejects_non_mono(self, tmp_path):
         with pytest.raises(AudioError, match="non-mono"):
             write_wav(tmp_path / "x.wav", np.zeros((10, 2)))
@@ -294,6 +303,19 @@ class TestCli:
         rc = cli.main(["param-count", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_separate_rejects_non_finite_input(self, tmp_path, capsys):
+        _, _, ckpt = small_checkpoint(tmp_path)
+        mix = tmp_path / "mix.wav"
+        samples = np.zeros(4410, dtype=np.float32)
+        samples[100] = np.nan
+        wavfile.write(mix, 44100, samples)
+        rc = cli.main(["separate", "--ckpt", str(ckpt), "--in", str(mix),
+                       "--out-perc", str(tmp_path / "p.wav"),
+                       "--out-harm", str(tmp_path / "h.wav")])
+        assert rc == 1
+        assert f"{mix}: non-finite samples" in capsys.readouterr().err
+        assert not (tmp_path / "p.wav").exists()
 
     def test_param_count_default_config(self, capsys):
         assert cli.main(["param-count"]) == 0
