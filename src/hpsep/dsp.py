@@ -39,7 +39,6 @@ __all__ = [
     "patchify",
     "depatchify",
     "compute_global_stats",
-    "normalize",
     "normalize_values",
     "apply_masks",
 ]
@@ -245,18 +244,6 @@ def normalize_values(values, stats):
             f"degenerate normalization stats: min={stats.min_val}, max={stats.max_val}"
         )
     return np.clip((np.log1p(values) - stats.min_val) / span, 0.0, 1.0)
-
-
-def normalize(patch, stats):
-    """Log-compress and min-max scale one raw patch into [0, 1]."""
-    if patch.normalized:
-        raise ValueError("patch is already normalized")
-    return MagPatch(
-        normalize_values(patch.values, stats),
-        origin_frame=patch.origin_frame,
-        pad_frames=patch.pad_frames,
-        normalized=True,
-    )
 
 
 def apply_masks(mask_perc, mask_harm, spec):

@@ -1,10 +1,14 @@
 """Dense real tensors with reverse-mode automatic differentiation.
 
 The graph of recorded operations doubles as the gradient tape: every
-differentiable op links its output tensor to its inputs together with a
-closure that maps the output gradient to input gradients (a
-vector-Jacobian product). Calling ``backward`` on a scalar walks that
-graph exactly once in reverse topological order.
+differentiable op records, through ``_record``, a link from its output
+tensor to its inputs together with a closure that maps the output
+gradient to input gradients (a vector-Jacobian product). Calling
+``backward`` on a scalar walks that graph once in reverse topological
+order and consumes it: only leaves keep a gradient, and each interior
+node lets go of its inputs and closure as soon as its VJP has run, so
+the graph's activations are freed during the sweep. A consumed graph
+cannot be swept again.
 
 Layout convention: feature maps are channel-major ``(C, H, W)``, with an
 optional leading batch axis ``(N, C, H, W)``. Spatial ops accept either
@@ -110,34 +114,22 @@ class Tensor:
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in add: {self.shape} vs {other.shape}")
-            data = self.data + other.data
-            if _grad_enabled and (self.requires_grad or other.requires_grad):
-                return _from_op(data, (self, other), lambda g: (g, g), "add")
-            return Tensor(data)
+            return _record(self.data + other.data, (self, other), lambda g: (g, g), "add")
         const = np.asarray(other)
         if const.shape != () and const.shape != self.shape:
             raise ValueError(f"constant shape {const.shape} does not match {self.shape}")
-        data = self.data + const
-        if _grad_enabled and self.requires_grad:
-            return _from_op(data, (self,), lambda g: (g,), "add_const")
-        return Tensor(data)
+        return _record(self.data + const, (self,), lambda g: (g,), "add_const")
 
     __radd__ = __add__
 
     def __neg__(self):
-        data = -self.data
-        if _grad_enabled and self.requires_grad:
-            return _from_op(data, (self,), lambda g: (-g,), "neg")
-        return Tensor(data)
+        return _record(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in sub: {self.shape} vs {other.shape}")
-            data = self.data - other.data
-            if _grad_enabled and (self.requires_grad or other.requires_grad):
-                return _from_op(data, (self, other), lambda g: (g, -g), "sub")
-            return Tensor(data)
+            return _record(self.data - other.data, (self, other), lambda g: (g, -g), "sub")
         return self.__add__(-np.asarray(other))
 
     def __rsub__(self, other):
@@ -147,37 +139,21 @@ class Tensor:
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in mul: {self.shape} vs {other.shape}")
-            data = self.data * other.data
-            if _grad_enabled and (self.requires_grad or other.requires_grad):
-                a, b = self, other
-
-                def fn(g):
-                    return (g * b.data, g * a.data)
-
-                return _from_op(data, (self, other), fn, "mul")
-            return Tensor(data)
+            return _record(self.data * other.data, (self, other),
+                           lambda g: (g * other.data, g * self.data), "mul")
         const = np.asarray(other)
         if const.shape != () and const.shape != self.shape:
             raise ValueError(f"constant shape {const.shape} does not match {self.shape}")
-        data = self.data * const
-        if _grad_enabled and self.requires_grad:
-            return _from_op(data, (self,), lambda g: (g * const,), "mul_const")
-        return Tensor(data)
+        return _record(self.data * const, (self,), lambda g: (g * const,), "mul_const")
 
     __rmul__ = __mul__
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self):
-        data = self.data.sum()
-        if _grad_enabled and self.requires_grad:
-            shape, dt = self.data.shape, self.data.dtype
-
-            def fn(g):
-                return (np.full(shape, float(g), dtype=dt),)
-
-            return _from_op(np.asarray(data), (self,), fn, "sum")
-        return Tensor(np.asarray(data))
+        shape, dt = self.data.shape, self.data.dtype
+        return _record(np.asarray(self.data.sum()), (self,),
+                       lambda g: (np.full(shape, float(g), dtype=dt),), "sum")
 
     def mean(self):
         return self.sum() * (1.0 / self.data.size)
@@ -185,10 +161,16 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep seeding d(self)/d(self) = 1.
+        """Reverse-mode sweep seeding d(self)/d(self) = 1; consumes the graph.
 
-        Only valid on scalar outputs. Leaf gradients accumulate across
-        repeated calls; reset with ``grad = None`` (see ParamStore.zero_grad).
+        Only valid on scalar outputs. Only leaves receive ``grad``, and
+        theirs accumulate across backward calls on separately built graphs;
+        reset with ``grad = None`` (see ParamStore.zero_grad). Each interior
+        node drops its parents and gradient function right after its VJP
+        runs, so the graph's activations and gradients are freed during the
+        sweep even while the caller still holds the output. Sweeping a
+        consumed graph again, or a new graph built on one of its interior
+        tensors, raises ValueError before any leaf gradient changes.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
@@ -196,21 +178,22 @@ class Tensor:
             raise ValueError("output is not connected to any tracked tensor")
         order = _topo_order(self)
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node))
-            if node._parents:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-                node.grad = g
-            else:
-                # leaf: accumulate so repeated backward calls add up
+            if node._op == "leaf":
                 node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+            node._parents = ()
+            node._backward = None
 
 
 def _from_op(data, parents, backward_fn, op):
@@ -245,6 +228,10 @@ def _topo_order(root):
                 advanced = True
                 break
         if not advanced:
+            if node._op != "leaf" and node._backward is None:
+                raise ValueError(
+                    f"a {node._op!r} tensor in this graph was consumed by an earlier backward"
+                )
             stack.pop()
             state[id(node)] = BLACK
             order.append(node)

@@ -15,7 +15,6 @@ from hpsep.dsp import (
     depatchify,
     hann_window,
     istft,
-    normalize,
     normalize_values,
     patchify,
     stft,
@@ -166,22 +165,12 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_values(np.ones(4), GlobalStats(0.5, 0.5))
 
-    def test_patch_normalize_sets_flag(self, rng):
-        patch = patchify(np.abs(rng.standard_normal((N_BINS, 64))))[0]
-        stats = GlobalStats(min_val=0.0, max_val=5.0)
-        out = normalize(patch, stats)
-        assert out.normalized
-        assert out.origin_frame == patch.origin_frame
-        assert out.pad_frames == patch.pad_frames
-        with pytest.raises(ValueError):
-            normalize(out, stats)
-
     def test_stats_from_corpus(self, rng):
         zeros = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)), origin_frame=0)
         stats = compute_global_stats([zeros])
         assert stats.min_val == 0.0 and stats.max_val == 0.0
         with pytest.raises(ValueError):
-            normalize(zeros, stats)
+            normalize_values(zeros.values, stats)
 
         a = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)), origin_frame=0)
         bvals = np.zeros((N_BINS, PATCH_FRAMES))

@@ -65,10 +65,10 @@ class TestArithmetic:
             (x * 2.0).backward()
 
     def test_repeated_backward_accumulates(self):
+        # leaf gradients add up across sweeps of separately built graphs
         x = tens([1.0, 2.0], grad=True)
-        loss = (x * 3.0).sum()
-        loss.backward()
-        loss.backward()
+        (x * 3.0).sum().backward()
+        (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, [6.0, 6.0])
 
     def test_no_grad_suppresses_graph(self):
@@ -86,6 +86,48 @@ class TestArithmetic:
         z = (b + b).sum()
         z.backward()
         np.testing.assert_allclose(a.grad, [12.0])
+
+
+class TestTapeConsumption:
+    @staticmethod
+    def graph():
+        a = tens([[[1.0, -2.0]]], grad=True)
+        b = tens([[[3.0, 4.0]]], grad=True)
+        y = a * b
+        z = relu(concat_channels([y, a + b]))
+        return a, b, y, z
+
+    def test_backward_frees_interior_nodes(self):
+        a, b, y, z = self.graph()
+        loss = z.sum()
+        loss.backward()
+        np.testing.assert_allclose(a.grad, [[[4.0, 1.0]]])
+        np.testing.assert_allclose(b.grad, [[[2.0, 1.0]]])
+        for node in (y, z, loss):
+            assert node.grad is None
+            assert node._parents == ()
+            assert node._backward is None
+
+    def test_second_backward_rejected(self):
+        a, b, _, z = self.graph()
+        loss = z.sum()
+        loss.backward()
+        ga, gb = a.grad.copy(), b.grad.copy()
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, ga)
+        np.testing.assert_array_equal(b.grad, gb)
+
+    def test_consumed_interior_in_new_graph_rejected(self):
+        a, b, y, z = self.graph()
+        z.sum().backward()
+        ga, gb = a.grad.copy(), b.grad.copy()
+        # the leaves a and b sit on the new graph too; neither may move
+        fresh = (y * b + a).sum()
+        with pytest.raises(ValueError, match="consumed"):
+            fresh.backward()
+        np.testing.assert_array_equal(a.grad, ga)
+        np.testing.assert_array_equal(b.grad, gb)
 
 
 class TestConv2d:

@@ -1,13 +1,14 @@
 """Loss, optimizer, scheduler, ground-truth assembly, and train-loop tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hpsep import tensor as T
 from hpsep.dsp import MagPatch
-from hpsep.network import NetworkConfig, ParamStore, load_checkpoint
+from hpsep.network import MaskSeparator, NetworkConfig, ParamStore, load_checkpoint
 from hpsep.tensor import Tensor
 from hpsep.training import (
     Decision,
@@ -324,3 +325,27 @@ class TestTrainLoop:
                 train(toy_tracks(), tiny_net(), cfg, checkpoint_path=str(ckpt))
         model, stats = load_checkpoint(ckpt)  # pre-divergence save still loads
         assert math.isfinite(stats.min_val)
+
+
+class TestStepMemory:
+    def test_backward_frees_graph_while_outputs_are_held(self):
+        # train() keeps loss, mp and mh bound through backward; the step's
+        # activations must be gone all the same once backward returns
+        net = NetworkConfig(growth_rate=2, layers_per_block=2, depth=2,
+                            final_block_layers=2)
+        model = MaskSeparator(net, seed=0)
+        x = np.random.default_rng(0).random((2, 1, 64, 64))
+        p, h = 0.3 * x, 0.7 * x
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mp, mh = model.forward(Tensor(x), training=True)
+            loss = masking_loss(mp, mh, x, p, h)
+            model.store.zero_grad()
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mp.shape == mh.shape == x.shape and math.isfinite(loss.item())
+        assert after - before < 0.25 * (peak - before)
