@@ -14,6 +14,15 @@ and growth rate k its input width is n + (i - 1) * k, and a block of L
 layers carries L * (L + 1) / 2 internal connections. The block output is
 the last layer's k channels.
 
+A block stores those concatenations in one feature buffer of
+n + (L - 1) * k channels (the shared-storage layout of memory-efficient
+DenseNets, Pleiss et al. 2017, arXiv:1707.06990). The block input is
+copied into its first n channels, every layer but the last writes its
+activation straight into the next k channels, and each layer's input is
+a zero-copy view of the buffer's leading channels. A block thus keeps
+O(L) maps alive for backward instead of the O(L^2) of one concatenated
+copy per layer.
+
 Branches downsample with 2x2 max pooling ``depth`` times, pass a
 bottleneck block, and upsample back with 2x2 stride-2 transposed
 convolutions, concatenating the same-scale encoder output before each
@@ -172,11 +181,12 @@ class CompositeLayer:
         self.in_channels = c_in
         self.out_channels = c_out
 
-    def forward(self, x, training):
+    def forward(self, x, training, out=None):
+        """The layer's activation, written into the array ``out`` if given."""
         h = self.bn(self.conv(x), training)
         if self.activation == "relu":
-            return T.relu(h)
-        return T.leaky_relu(h, self.alpha)
+            return T.relu(h, out=out)
+        return T.leaky_relu(h, self.alpha, out=out)
 
 
 class DenseBlock:
@@ -184,7 +194,8 @@ class DenseBlock:
 
     The i-th layer consumes the block input concatenated with every
     previous layer output; the block output is the last layer's
-    ``growth_rate`` channels.
+    ``growth_rate`` channels. The concatenations share one feature buffer
+    per forward pass (see the module docstring).
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
@@ -211,13 +222,16 @@ class DenseBlock:
             accumulated.append(growth_rate)
 
     def forward(self, x, training):
+        c, k = self.in_channels, self.out_channels
+        last = len(self.layers) - 1
+        buf = np.empty(x.shape[:-3] + (c + last * k,) + x.shape[-2:], dtype=x.dtype)
+        buf[..., :c, :, :] = x.data
         feats = [x]
-        out = x
-        for layer in self.layers:
-            inp = feats[0] if len(feats) == 1 else T.concat_channels(feats)
-            out = layer.forward(inp, training)
-            feats.append(out)
-        return out
+        for i, layer in enumerate(self.layers):
+            inp = x if i == 0 else T.concat_prefix(feats, buf)
+            dest = buf[..., c + i * k : c + (i + 1) * k, :, :] if i < last else None
+            feats.append(layer.forward(inp, training, out=dest))
+        return feats[-1]
 
 
 class MultiScaleBranch:

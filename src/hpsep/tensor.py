@@ -1,25 +1,39 @@
 """Dense real tensors with reverse-mode automatic differentiation.
 
-The graph of recorded operations doubles as the gradient tape: every
-differentiable op records, through ``_record``, a link from its output
-tensor to its inputs together with a closure that maps the output
-gradient to input gradients (a vector-Jacobian product). Calling
-``backward`` on a scalar walks that graph once in reverse topological
-order and consumes it: only leaves keep a gradient, and each interior
-node lets go of its inputs and closure as soon as its VJP has run, so
-the graph's activations are freed during the sweep. A consumed graph
-cannot be swept again.
+The graph of recorded operations doubles as the gradient tape. Every
+differentiable op records, through ``_record``, a graph node for its
+output: the closure that maps the output gradient to input gradients (a
+vector-Jacobian product, VJP) and links to its inputs' places in the
+graph. A link is the input's own node when the input was itself
+recorded, the input Tensor when it is a tracked leaf (leaves receive
+``grad``), and None for an untracked input.
+
+The graph holds nodes, not values. A node never refers to its output
+Tensor, and a VJP closure captures only the arrays and ``requires_grad``
+flags it reads, never an input Tensor. So the graph retains exactly what
+backward will read, and an interior output that no later VJP reads (a
+conv output that only feeds a batchnorm, say) is freed as soon as the
+caller drops it. Calling ``backward`` on a scalar walks the graph once
+in reverse topological order and consumes it: only leaves keep a
+gradient, and each node lets go of its links and closure as soon as its
+VJP has run, so the saved arrays are freed during the sweep. A consumed
+graph cannot be swept again.
 
 Layout convention: feature maps are channel-major ``(C, H, W)``, with an
 optional leading batch axis ``(N, C, H, W)``. Spatial ops accept either
 rank and return the rank they were given. Data is float64 by default;
-float32 is kept when the caller supplies it.
+float32 is kept when the caller supplies it, through constants, scalars
+and gradients alike.
 
 ``conv2d`` follows a narrow-side rule: its forward pass, input gradient
 and weight gradient each make kh*kw shifted copies of whichever of the
 input or output has fewer channels, never of the wider one. With
 C_out < C_in the forward pass is kn2row (one GEMM into per-tap planes,
 then a shift-add; Vasudevan et al. 2017, arXiv:1704.04428).
+
+``concat_prefix`` is the zero-copy form of ``concat_channels``: when the
+parts already sit side by side at the start of one buffer, their
+concatenation is a view of that buffer, recorded with the same VJP.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ __all__ = [
     "sigmoid",
     "log1p",
     "concat_channels",
+    "concat_prefix",
     "numeric_gradient",
     "assert_gradients_match",
 ]
@@ -73,15 +88,13 @@ def _as_float_array(data, dtype=None):
 class Tensor:
     """N-dimensional real array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_float_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = None  # set on recorded op outputs only; leaves have none
 
     # -- basic introspection -------------------------------------------------
 
@@ -106,19 +119,24 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, op={self._op!r}{flag})"
+        op = "leaf" if self._node is None else self._node.op
+        return f"Tensor(shape={self.data.shape}, op={op!r}{flag})"
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _const(self, other):
+        """A non-Tensor operand as an array of this tensor's dtype."""
+        const = np.asarray(other, dtype=self.data.dtype)
+        if const.shape != () and const.shape != self.shape:
+            raise ValueError(f"constant shape {const.shape} does not match {self.shape}")
+        return const
 
     def __add__(self, other):
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in add: {self.shape} vs {other.shape}")
             return _record(self.data + other.data, (self, other), lambda g: (g, g), "add")
-        const = np.asarray(other)
-        if const.shape != () and const.shape != self.shape:
-            raise ValueError(f"constant shape {const.shape} does not match {self.shape}")
-        return _record(self.data + const, (self,), lambda g: (g,), "add_const")
+        return _record(self.data + self._const(other), (self,), lambda g: (g,), "add_const")
 
     __radd__ = __add__
 
@@ -130,7 +148,7 @@ class Tensor:
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in sub: {self.shape} vs {other.shape}")
             return _record(self.data - other.data, (self, other), lambda g: (g, -g), "sub")
-        return self.__add__(-np.asarray(other))
+        return self.__add__(-self._const(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -139,11 +157,9 @@ class Tensor:
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch in mul: {self.shape} vs {other.shape}")
-            return _record(self.data * other.data, (self, other),
-                           lambda g: (g * other.data, g * self.data), "mul")
-        const = np.asarray(other)
-        if const.shape != () and const.shape != self.shape:
-            raise ValueError(f"constant shape {const.shape} does not match {self.shape}")
+            a, b = self.data, other.data
+            return _record(a * b, (self, other), lambda g: (g * b, g * a), "mul")
+        const = self._const(other)
         return _record(self.data * const, (self,), lambda g: (g * const,), "mul_const")
 
     __rmul__ = __mul__
@@ -165,35 +181,58 @@ class Tensor:
 
         Only valid on scalar outputs. Only leaves receive ``grad``, and
         theirs accumulate across backward calls on separately built graphs;
-        reset with ``grad = None`` (see ParamStore.zero_grad). Each interior
-        node drops its parents and gradient function right after its VJP
-        runs, so the graph's activations and gradients are freed during the
-        sweep even while the caller still holds the output. Sweeping a
-        consumed graph again, or a new graph built on one of its interior
-        tensors, raises ValueError before any leaf gradient changes.
+        reset with ``grad = None`` (see ParamStore.zero_grad). Each node
+        drops its links and gradient function right after its VJP runs, so
+        the arrays the graph saved are freed during the sweep even while
+        the caller still holds the output. Sweeping a consumed graph again,
+        or a new graph built on one of its interior tensors, raises
+        ValueError before any leaf gradient changes.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
-        if not self.requires_grad:
+        root = _link(self)
+        if root is None:
             raise ValueError("output is not connected to any tracked tensor")
-        order = _topo_order(self)
-        grads = {id(self): np.ones_like(self.data)}
+        order = _topo_order(root)
+        grads = {id(root): np.ones_like(self.data)}
         while order:
-            node = order.pop()
-            g = grads.pop(id(node))
-            if node._op == "leaf":
-                node.grad = g if node.grad is None else node.grad + g
+            vertex = order.pop()
+            g = grads.pop(id(vertex))
+            if isinstance(vertex, Tensor):
+                vertex.grad = g if vertex.grad is None else vertex.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(vertex.parents, vertex.backward(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-            node._parents = ()
-            node._backward = None
+            vertex.parents = ()
+            vertex.backward = None
+
+
+class _Node:
+    """The graph vertex of a recorded op's output; it never holds the output.
+
+    ``parents`` has one link per op input, aligned with what ``backward``
+    returns (see ``_link``). A consumed node has ``backward`` None.
+    """
+
+    __slots__ = ("parents", "backward", "op")
+
+    def __init__(self, parents, backward, op):
+        self.parents = parents
+        self.backward = backward
+        self.op = op
+
+
+def _link(t):
+    """Where a graph reaches ``t``: its node, itself if a tracked leaf, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
 
 
 def _from_op(data, parents, backward_fn, op):
@@ -201,41 +240,46 @@ def _from_op(data, parents, backward_fn, op):
     out.data = data
     out.requires_grad = True
     out.grad = None
-    out._parents = tuple(parents)
-    out._backward = backward_fn
-    out._op = op
+    out._node = _Node(tuple(_link(p) for p in parents), backward_fn, op)
     return out
 
 
 def _topo_order(root):
-    """Depth-first postorder over tracked ancestors; parents precede users."""
+    """Depth-first postorder over the vertices under ``root``; parents precede users.
+
+    A vertex is a ``_Node`` or a tracked leaf Tensor.
+    """
     GRAY, BLACK = 1, 2
     order = []
     state = {id(root): GRAY}
-    stack = [(root, iter(root._parents))]
+    stack = [(root, iter(_parents(root)))]
     while stack:
-        node, it = stack[-1]
+        vertex, it = stack[-1]
         advanced = False
         for child in it:
-            if not child.requires_grad:
+            if child is None:
                 continue
             s = state.get(id(child))
             if s == GRAY:
                 raise AssertionError("cycle in autodiff graph")
             if s is None:
                 state[id(child)] = GRAY
-                stack.append((child, iter(child._parents)))
+                stack.append((child, iter(_parents(child))))
                 advanced = True
                 break
         if not advanced:
-            if node._op != "leaf" and node._backward is None:
+            if isinstance(vertex, _Node) and vertex.backward is None:
                 raise ValueError(
-                    f"a {node._op!r} tensor in this graph was consumed by an earlier backward"
+                    f"a {vertex.op!r} tensor in this graph was consumed by an earlier backward"
                 )
             stack.pop()
-            state[id(node)] = BLACK
-            order.append(node)
+            state[id(vertex)] = BLACK
+            order.append(vertex)
     return order
+
+
+def _parents(vertex):
+    return () if isinstance(vertex, Tensor) else vertex.parents
 
 
 def _batched(arr):
@@ -331,6 +375,7 @@ def conv2d(x, weight, bias):
     n, _, h, wd = xb.shape
     taps = kh * kw
     narrow_out = c_out < c_in
+    need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
     xr = xb.reshape(n, c_in, h * wd)
 
     if narrow_out:
@@ -349,25 +394,25 @@ def conv2d(x, weight, bias):
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
         dx = dw = db = None
-        if bias.requires_grad:
+        if need_db:
             db = gb.sum(axis=(0, 2, 3))
         if narrow_out:
             # the adjoint of tap (i, j) is the shift of the flipped tap, so one
             # stack of output-gradient shifts serves dx and dw alike
-            if x.requires_grad or weight.requires_grad:
+            if need_dx or need_dw:
                 gcols = _shifted_columns(gb, kh, kw)
-            if weight.requires_grad:
+            if need_dw:
                 dwt = (gcols @ xr.transpose(0, 2, 1)).sum(axis=0)
                 dw = dwt.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-            if x.requires_grad:
+            if need_dx:
                 wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
                 dx = (wflip @ gcols).reshape(n, c_in, h, wd)
         else:
             gr = gb.reshape(n, c_out, h * wd)
-            if weight.requires_grad:
+            if need_dw:
                 xcols = _shifted_columns(xb, kh, kw)
                 dw = (gr @ xcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-            if x.requires_grad:
+            if need_dx:
                 wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
                 dx = _shift_add(wrows @ gr, kh, kw, h, wd)
         if dx is not None and was3d:
@@ -396,6 +441,7 @@ def transposed_conv2(x, weight, bias):
         raise ValueError(f"bias shape {b.shape} does not match {c_out} output channels")
 
     n, _, h, wd = xb.shape
+    need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
     out = np.empty((n, c_out, 2 * h, 2 * wd), dtype=xb.dtype)
     out[:] = b[None, :, None, None]
     for a in (0, 1):
@@ -407,18 +453,18 @@ def transposed_conv2(x, weight, bias):
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
         dx = dw = db = None
-        if bias.requires_grad:
+        if need_db:
             db = gb.sum(axis=(0, 2, 3))
-        if weight.requires_grad:
+        if need_dw:
             dw = np.empty_like(w)
-        if x.requires_grad:
+        if need_dx:
             dx = np.zeros_like(xb)
         for a in (0, 1):
             for c in (0, 1):
                 gs = gb[:, :, a::2, c::2]
-                if weight.requires_grad:
+                if need_dw:
                     dw[:, :, a, c] = np.tensordot(xb, gs, axes=([0, 2, 3], [0, 2, 3]))
-                if x.requires_grad:
+                if need_dx:
                     dx += np.tensordot(gs, w[:, :, a, c], axes=([1], [1])).transpose(0, 3, 1, 2)
         if dx is not None and was3d:
             dx = dx[0]
@@ -508,13 +554,14 @@ def batchnorm(x, gamma, beta, state, training):
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     gdata = gamma.data
+    need_dx, need_dgamma, need_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
-        dgamma = (gb * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        dbeta = gb.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        dgamma = (gb * xhat).sum(axis=(0, 2, 3)) if need_dgamma else None
+        dbeta = gb.sum(axis=(0, 2, 3)) if need_dbeta else None
         dx = None
-        if x.requires_grad:
+        if need_dx:
             dxhat = gb * gdata[None, :, None, None]
             if training:
                 # gradient through the batch mean and variance
@@ -534,24 +581,42 @@ def batchnorm(x, gamma, beta, state, training):
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def relu(x):
+def _into(out, values):
+    """``values`` copied into the array ``out``, or ``values`` itself if there is none."""
+    if out is None:
+        return values
+    if out.shape != values.shape or out.dtype != values.dtype:
+        raise ValueError(
+            f"out is {out.dtype} {out.shape}, result is {values.dtype} {values.shape}"
+        )
+    out[...] = values
+    return out
+
+
+def relu(x, out=None):
+    """``np.where(x > 0, x, 0)``.
+
+    The values are written into ``out`` when it is given (an array of the
+    input's shape and dtype, for instance a channel slice of a dense
+    block's feature buffer), and the result Tensor's data is that array.
+    """
     mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
 
     def fn(g):
         return (g * mask,)
 
-    return _record(out, (x,), fn, "relu")
+    return _record(_into(out, np.where(mask, x.data, 0.0)), (x,), fn, "relu")
 
 
-def leaky_relu(x, alpha=0.01):
+def leaky_relu(x, alpha=0.01, out=None):
+    """``np.where(x > 0, x, alpha * x)``; ``out`` as for ``relu``."""
     mask = x.data > 0
-    out = np.where(mask, x.data, alpha * x.data)
 
     def fn(g):
-        return (g * np.where(mask, 1.0, alpha),)
+        return (np.where(mask, g, g * alpha),)
 
-    return _record(out, (x,), fn, "leaky_relu")
+    values = np.where(mask, x.data, alpha * x.data)
+    return _record(_into(out, values), (x,), fn, "leaky_relu")
 
 
 def sigmoid(x):
@@ -572,10 +637,11 @@ def sigmoid(x):
 def log1p(x):
     if np.min(x.data, initial=0.0) <= -1.0:
         raise ValueError("log1p requires inputs > -1")
-    out = np.log1p(x.data)
+    xd = x.data
+    out = np.log1p(xd)
 
     def fn(g):
-        return (g / (1.0 + x.data),)
+        return (g / (1.0 + xd),)
 
     return _record(out, (x,), fn, "log1p")
 
@@ -595,6 +661,32 @@ def concat_channels(tensors):
         if first.ndim == 4 and t.data.shape[0] != first.shape[0]:
             raise ValueError("batch mismatch in concat")
     out = np.concatenate([t.data for t in tensors], axis=-3)
+    return _record(out, tuple(tensors), _split_channels(tensors), "concat_channels")
+
+
+def concat_prefix(tensors, buffer):
+    """``concat_channels(tensors)`` as a zero-copy view of ``buffer``.
+
+    The caller guarantees that the leading channels of ``buffer`` already
+    hold the tensors' values, side by side in order, as a dense block's
+    feature buffer does. The result is the view of those channels; it is
+    recorded with the same tag and VJP as ``concat_channels``, so the
+    gradient is split back to the tensors and nothing is copied.
+    """
+    if not tensors:
+        raise ValueError("concat_prefix needs at least one input")
+    width = sum(t.data.shape[-3] for t in tensors)
+    for t in tensors:
+        if t.data.shape[:-3] + t.data.shape[-2:] != buffer.shape[:-3] + buffer.shape[-2:]:
+            raise ValueError(f"part of shape {t.data.shape} does not fit buffer {buffer.shape}")
+    if width > buffer.shape[-3]:
+        raise ValueError(f"parts span {width} channels, buffer has {buffer.shape[-3]}")
+    out = buffer[..., :width, :, :]
+    return _record(out, tuple(tensors), _split_channels(tensors), "concat_channels")
+
+
+def _split_channels(tensors):
+    """VJP of a channel concatenation: the gradient sliced back per input."""
     sizes = [t.data.shape[-3] for t in tensors]
 
     def fn(g):
@@ -605,7 +697,7 @@ def concat_channels(tensors):
             offset += s
         return tuple(grads)
 
-    return _record(out, tuple(tensors), fn, "concat_channels")
+    return fn
 
 
 # -- finite-difference verification ----------------------------------------

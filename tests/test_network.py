@@ -116,6 +116,77 @@ class TestDenseBlock:
                 assert np.any(p.grad != 0.0), name
 
 
+def concat_chain(block, x, training):
+    """A DenseBlock's forward pass with one explicit concatenation per layer."""
+    feats = [x]
+    for layer in block.layers:
+        inp = feats[0] if len(feats) == 1 else T.concat_channels(feats)
+        feats.append(layer.forward(inp, training))
+    return feats[-1]
+
+
+class TestDenseBlockBuffer:
+    """The shared feature buffer must reproduce the concatenating block exactly."""
+
+    @staticmethod
+    def run(forward, xshape, layers, activation, training):
+        store = ParamStore()
+        block = DenseBlock(store, "b", xshape[-3], 3, layers, (3, 3), rng(21),
+                           np.float64, activation=activation, alpha=0.2)
+        gen = np.random.default_rng(22)
+        x = Tensor(gen.normal(size=xshape), requires_grad=True)
+        out = forward(block, x, training)
+        (out * gen.normal(size=out.shape)).sum().backward()
+        grads = {n: p.grad for n, p in store.params.items()}
+        return out.data, x.grad, grads, store.buffers
+
+    # batch 2 makes every prefix view non-contiguous across the batch axis
+    @pytest.mark.parametrize("xshape", [(2, 2, 8, 6), (2, 8, 6)], ids=["4d", "3d"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_matches_explicit_concatenation(self, xshape, layers, activation, training):
+        got = self.run(DenseBlock.forward, xshape, layers, activation, training)
+        want = self.run(concat_chain, xshape, layers, activation, training)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2].keys() == want[2].keys()
+        for name in got[2]:
+            np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+        for name in got[3]:
+            np.testing.assert_array_equal(got[3][name], want[3][name], err_msg=name)
+
+    def test_layer_outputs_live_in_one_buffer(self):
+        block = DenseBlock(ParamStore(), "b", 2, 3, 3, (3, 3), rng(23), np.float64)
+        x = Tensor(np.random.default_rng(24).normal(size=(2, 2, 8, 6)))
+        seen = []
+        for layer in block.layers:
+            forward = layer.forward
+            layer.forward = lambda inp, training, out=None, f=forward: (
+                seen.append(inp.data) or f(inp, training, out=out))
+        block.forward(x, True)
+        assert seen[0] is x.data
+        # layers 1 and 2 read views of the same buffer, which holds x first
+        assert seen[1].base is not None and seen[1].base is seen[2].base
+        assert seen[2].shape == (2, 2 + 2 * 3, 8, 6)
+        np.testing.assert_array_equal(seen[2][:, :2], x.data)
+        np.testing.assert_array_equal(seen[1], seen[2][:, :5])
+
+    def test_finite_difference_gradients(self):
+        store = ParamStore()
+        block = DenseBlock(store, "b", 2, 2, 3, (3, 3), rng(25), np.float64)
+        gen = np.random.default_rng(26)
+        x = Tensor(gen.normal(size=(2, 2, 4, 4)), requires_grad=True)
+        proj = gen.normal(size=(2, 2, 4, 4))
+
+        def loss():
+            return (block.forward(x, True) * proj).sum()
+
+        names = ["b.layer1.conv.weight", "b.layer2.bn.gamma", "b.layer0.bn.beta"]
+        T.assert_gradients_match(loss, [x] + [store.params[n] for n in names],
+                                 rtol=1e-3, atol=1e-6, names=["x"] + names)
+
+
 class TestMultiScaleBranch:
     def test_output_back_at_input_resolution(self):
         cfg = tiny_cfg()

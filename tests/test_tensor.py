@@ -1,13 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from hpsep import tensor as T
+from hpsep.network import MaskSeparator, NetworkConfig
 from hpsep.tensor import (
     RunningStats,
     Tensor,
     assert_gradients_match,
     batchnorm,
     concat_channels,
+    concat_prefix,
     conv2d,
     leaky_relu,
     log1p,
@@ -18,6 +22,7 @@ from hpsep.tensor import (
     sigmoid,
     transposed_conv2,
 )
+from hpsep.training import masking_loss
 
 
 @pytest.fixture
@@ -75,7 +80,7 @@ class TestArithmetic:
         x = tens([1.0], grad=True)
         with no_grad():
             y = (x * 2.0).sum()
-        assert y._parents == ()
+        assert y._node is None
         with pytest.raises(ValueError):
             y.backward()
 
@@ -103,10 +108,10 @@ class TestTapeConsumption:
         loss.backward()
         np.testing.assert_allclose(a.grad, [[[4.0, 1.0]]])
         np.testing.assert_allclose(b.grad, [[[2.0, 1.0]]])
-        for node in (y, z, loss):
-            assert node.grad is None
-            assert node._parents == ()
-            assert node._backward is None
+        for t in (y, z, loss):
+            assert t.grad is None
+            assert t._node.parents == ()
+            assert t._node.backward is None
 
     def test_second_backward_rejected(self):
         a, b, _, z = self.graph()
@@ -128,6 +133,106 @@ class TestTapeConsumption:
             fresh.backward()
         np.testing.assert_array_equal(a.grad, ga)
         np.testing.assert_array_equal(b.grad, gb)
+
+
+def graph_contents(root):
+    """(node links, Tensors captured by VJP closures) reachable from ``root``."""
+    links, captured, seen = [], [], set()
+    todo = [root._node]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T._Node):
+            links.extend(obj.parents)
+            todo.extend(p for p in obj.parents if isinstance(p, T._Node))
+            todo.append(obj.backward)
+        elif isinstance(obj, Tensor):
+            captured.append(obj)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return links, captured
+
+
+class TestGraphHoldsNodes:
+    def test_closures_capture_no_tensor_and_links_skip_interiors(self):
+        # every op of a training step: the graph may reach only leaves as
+        # Tensors, so each interior output is freed when its caller drops it
+        cfg = NetworkConfig(growth_rate=2, layers_per_block=3, depth=1,
+                            final_block_layers=2)
+        model = MaskSeparator(cfg, seed=0)
+        x = np.random.default_rng(0).random((2, 1, 8, 8))
+        mp, mh = model.forward(Tensor(x), training=True)
+        loss = log1p(masking_loss(mp, mh, x, 0.3 * x, 0.7 * x)) - (mp * mh).mean()
+        links, captured = graph_contents(loss)
+        assert captured == []
+        params = {id(t) for t in model.store.params.values()}
+        leaves = [p for p in links if isinstance(p, Tensor)]
+        assert {id(t) for t in leaves} == params
+        assert all(p is None or isinstance(p, T._Node) for p in links
+                   if not isinstance(p, Tensor))
+
+    def test_interior_output_freed_when_dropped(self):
+        x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
+        h = conv2d(x, tens(np.ones((3, 2, 3, 3))), tens(np.zeros(3)))
+        y = relu(batchnorm(h, tens(np.ones(3)), tens(np.zeros(3)), RunningStats(3), True))
+        conv_out = weakref.ref(h.data)
+        del h
+        assert conv_out() is None  # batchnorm's VJP keeps xhat, not its input
+        y.sum().backward()
+        assert x.grad.shape == x.shape
+
+
+FLOAT32_OPS = {
+    # name: (input shapes, op on float32 leaves)
+    "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
+    "add_const": ([(3, 4)], lambda a: a + 1.5),
+    "radd_const": ([(3, 4)], lambda a: 1.5 + a),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
+    "sub_const": ([(3, 4)], lambda a: a - 0.1),
+    "rsub_const": ([(3, 4)], lambda a: 0.1 - a),
+    "neg": ([(3, 4)], lambda a: -a),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "mul_const": ([(3, 4)], lambda a: a * 0.1),
+    "mul_float64_array": ([(3, 4)], lambda a: a * np.full((3, 4), 0.1)),
+    "sum": ([(3, 4)], lambda a: a.sum()),
+    "mean": ([(3, 4)], lambda a: a.mean()),
+    "conv2d": ([(2, 3, 4, 4), (2, 3, 3, 3), (2,)], conv2d),
+    "transposed_conv2": ([(2, 3, 2, 2), (3, 2, 2, 2), (2,)], transposed_conv2),
+    "maxpool2": ([(2, 3, 4, 4)], maxpool2),
+    "batchnorm": ([(2, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
+        x, g, b, RunningStats(3, dtype=np.float32), True)),
+    "batchnorm_infer": ([(3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
+        x, g, b, RunningStats(3, dtype=np.float32), False)),
+    "relu": ([(3, 4)], relu),
+    "leaky_relu": ([(3, 4)], lambda a: leaky_relu(a, 0.1)),
+    "sigmoid": ([(3, 4)], sigmoid),
+    "log1p": ([(3, 4)], lambda a: log1p(a * a)),
+    "concat_channels": ([(2, 2, 2), (1, 2, 2)], lambda a, b: concat_channels([a, b])),
+    "concat_prefix": ([(2, 2, 2), (1, 2, 2)], lambda a, b: concat_prefix(
+        [a, b], np.concatenate([a.data, b.data, a.data]))),
+}
+
+
+class TestFloat32:
+    def test_every_public_op_listed(self):
+        not_ops = {"Tensor", "RunningStats", "no_grad", "numeric_gradient",
+                   "assert_gradients_match"}
+        assert set(T.__all__) - not_ops <= set(FLOAT32_OPS)
+
+    @pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
+    def test_output_and_gradients_stay_float32(self, rng, name):
+        shapes, op = FLOAT32_OPS[name]
+        leaves = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        out = op(*leaves)
+        assert out.dtype == np.float32
+        (out if out.size == 1 else out.sum()).backward()
+        for i, t in enumerate(leaves):
+            assert t.grad is not None and t.grad.dtype == np.float32, i
 
 
 class TestConv2d:
@@ -546,6 +651,27 @@ class TestConcat:
         (concat_channels([a, b]) * proj).sum().backward()
         np.testing.assert_allclose(a.grad, proj[:2])
         np.testing.assert_allclose(b.grad, proj[2:])
+
+
+class TestConcatPrefix:
+    def test_view_of_buffer_with_concat_gradient(self, rng):
+        a = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+        buf = np.concatenate([a.data, b.data, rng.standard_normal((2, 4, 3, 3))], axis=1)
+        out = concat_prefix([a, b], buf)
+        assert out.shape == (2, 3, 3, 3) and np.shares_memory(out.data, buf)
+        np.testing.assert_array_equal(out.data, concat_channels([a, b]).data)
+        proj = rng.standard_normal((2, 3, 3, 3))
+        (out * proj).sum().backward()
+        np.testing.assert_array_equal(a.grad, proj[:, :2])
+        np.testing.assert_array_equal(b.grad, proj[:, 2:])
+
+    def test_parts_must_fit_buffer(self, rng):
+        a = tens(rng.standard_normal((2, 3, 3)))
+        with pytest.raises(ValueError, match="channels"):
+            concat_prefix([a, a], np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match="does not fit"):
+            concat_prefix([a], np.zeros((4, 3, 4)))
 
 
 class TestDeepComposition:

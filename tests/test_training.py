@@ -349,3 +349,39 @@ class TestStepMemory:
             tracemalloc.stop()
         assert mp.shape == mh.shape == x.shape and math.isfinite(loss.item())
         assert after - before < 0.25 * (peak - before)
+
+    def test_forward_graph_keeps_one_buffer_per_block(self):
+        # What the graph of a training-mode forward may hold, counted in maps
+        # of one channel at a block's resolution: each dense block's buffer
+        # (block input plus every layer's output but the last), and per layer
+        # at most three growth-rate maps. Those cover BN's normalized input
+        # and the activation mask of every layer, plus per block the last
+        # layer's output, the separate block input its first conv reads (up
+        # to three growth-rate maps, at the fusion block) and the pooling
+        # indices. A per-layer concatenated copy, or a conv or BN output kept
+        # alive, breaks the bound.
+        k, layers, depth, final = 4, 3, 2, 3
+        net = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
+                            final_block_layers=final)
+        model = MaskSeparator(net, seed=0)
+        n, hw = 2, 128
+        x = np.random.default_rng(0).random((n, 1, hw, hw))
+
+        def maps(channels, scale):
+            return channels * n * (hw >> scale) ** 2 * x.itemsize
+
+        def block(c_in, n_layers, scale):
+            return maps(c_in + (n_layers - 1) * k + 3 * k * n_layers, scale)
+
+        branch = (block(1, layers, 0) + sum(block(k, layers, s) for s in range(1, depth + 1))
+                  + sum(block(2 * k, layers, s) for s in range(depth)))
+        bound = 3 * branch + block(3 * k, final, 0) + maps(2, 0)  # + the two masks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mp, mh = model.forward(Tensor(x), training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert mp.shape == mh.shape == x.shape
+        assert held < bound, (held, bound)
