@@ -16,17 +16,17 @@ the last layer's k channels.
 
 A block stores those concatenations in one feature buffer of
 n + (L - 1) * k channels (the shared-storage layout of memory-efficient
-DenseNets, Pleiss et al. 2017, arXiv:1707.06990). The block input is
-copied into its first n channels, every layer but the last writes its
-activation straight into the next k channels, and each layer's input is
-a zero-copy view of the buffer's leading channels. A block thus keeps
+DenseNets, Pleiss et al. 2017, arXiv:1707.06990). The block input's
+parts are copied once into its first n channels, every layer but the
+last writes its activation into the next k, and every layer reads a
+zero-copy view of the buffer's leading channels. A block thus keeps
 O(L) maps alive for backward instead of the O(L^2) of one concatenated
 copy per layer.
 
 Branches downsample with 2x2 max pooling ``depth`` times, pass a
 bottleneck block, and upsample back with 2x2 stride-2 transposed
-convolutions, concatenating the same-scale encoder output before each
-decoder block.
+convolutions; each decoder block's parts are the upsampled map and the
+same-scale encoder output, and the fusion block's the branch outputs.
 """
 
 from __future__ import annotations
@@ -192,10 +192,11 @@ class CompositeLayer:
 class DenseBlock:
     """L composite layers with dense (all-to-all forward) connectivity.
 
-    The i-th layer consumes the block input concatenated with every
-    previous layer output; the block output is the last layer's
-    ``growth_rate`` channels. The concatenations share one feature buffer
-    per forward pass (see the module docstring).
+    ``forward(parts, training)`` takes the block input as a list of parts.
+    The i-th layer consumes them concatenated with every previous layer
+    output; the block output is the last layer's ``growth_rate``
+    channels. The concatenations share one feature buffer per forward
+    pass (see the module docstring).
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
@@ -221,16 +222,16 @@ class DenseBlock:
             self.connection_count += len(accumulated)
             accumulated.append(growth_rate)
 
-    def forward(self, x, training):
+    def forward(self, parts, training):
         c, k = self.in_channels, self.out_channels
         last = len(self.layers) - 1
+        x = parts[0].data
         buf = np.empty(x.shape[:-3] + (c + last * k,) + x.shape[-2:], dtype=x.dtype)
-        buf[..., :c, :, :] = x.data
-        feats = [x]
+        np.concatenate([p.data for p in parts], axis=-3, out=buf[..., :c, :, :])
+        feats = list(parts)
         for i, layer in enumerate(self.layers):
-            inp = x if i == 0 else T.concat_prefix(feats, buf)
             dest = buf[..., c + i * k : c + (i + 1) * k, :, :] if i < last else None
-            feats.append(layer.forward(inp, training, out=dest))
+            feats.append(layer.forward(T.concat_prefix(feats, buf), training, out=dest))
         return feats[-1]
 
 
@@ -269,14 +270,12 @@ class MultiScaleBranch:
         skips = []
         h = x
         for block in self.enc:
-            h = block.forward(h, training)
+            h = block.forward([h], training)
             skips.append(h)
             h = T.maxpool2(h)
-        h = self.mid.forward(h, training)
+        h = self.mid.forward([h], training)
         for up, dec, skip in zip(self.up, self.dec, reversed(skips)):
-            h = up(h)
-            h = T.concat_channels([h, skip])
-            h = dec.forward(h, training)
+            h = dec.forward([up(h), skip], training)
         return h
 
 
@@ -322,7 +321,7 @@ class MaskSeparator:
         if not isinstance(x, Tensor):
             x = Tensor(data)
         outs = [branch.forward(x, training) for branch in self.branches]
-        fused = self.fuse.forward(T.concat_channels(outs), training)
+        fused = self.fuse.forward(outs, training)
         mask_p = T.sigmoid(self.head_perc(fused))
         mask_h = T.sigmoid(self.head_harm(fused))
         return mask_p, mask_h
@@ -342,7 +341,7 @@ class MaskSeparator:
 #     u8   rank
 #     u32  per dimension
 #     raw  little-endian payload
-# Branch kernel shapes are architectural constants and not serialized.
+# Branch kernel shapes are read back off each branch's first conv weight.
 
 _MAGIC = b"HPSS"
 _VERSION = 1
@@ -416,16 +415,6 @@ def load_checkpoint(path, dtype=np.float64):
             raise ValueError(f"unsupported checkpoint version {version}")
         k, layers, depth, final_layers = struct.unpack("<IIII", _read_exact(fh, 16, "config"))
         alpha, stat_min, stat_max = struct.unpack("<ddd", _read_exact(fh, 24, "stats"))
-        cfg = NetworkConfig(
-            growth_rate=k,
-            layers_per_block=layers,
-            depth=depth,
-            final_block_layers=final_layers,
-            leaky_alpha=alpha,
-        )
-        stats = GlobalStats(min_val=stat_min, max_val=stat_max)
-        model = MaskSeparator(cfg, dtype=dtype)
-
         arrays = {}
         while True:
             head = fh.read(2)
@@ -446,6 +435,18 @@ def load_checkpoint(path, dtype=np.float64):
                 raise ValueError(f"duplicate record {name!r}")
             arrays[name] = np.frombuffer(payload, dtype=dt).reshape(dims)
 
+    kernels = []
+    while (w := arrays.get(f"branch{len(kernels)}.enc0.layer0.conv.weight")) is not None:
+        if w.ndim != 4:
+            raise ValueError(f"branch{len(kernels)} conv weight has rank {w.ndim}, expected 4")
+        kernels.append(w.shape[2:])
+    if not kernels:
+        raise ValueError("checkpoint holds no branch")
+    cfg = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
+                        final_block_layers=final_layers, leaky_alpha=alpha,
+                        branch_kernels=tuple(kernels))
+    stats = GlobalStats(min_val=stat_min, max_val=stat_max)
+    model = MaskSeparator(cfg, dtype=dtype)
     expected = set(model.store.params) | set(model.store.buffers)
     if set(arrays) != expected:
         missing = sorted(expected - set(arrays))

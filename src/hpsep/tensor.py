@@ -31,12 +31,15 @@ input or output has fewer channels, never of the wider one. With
 C_out < C_in the forward pass is kn2row (one GEMM into per-tap planes,
 then a shift-add; Vasudevan et al. 2017, arXiv:1704.04428).
 
-``concat_prefix`` is the zero-copy form of ``concat_channels``: when the
-parts already sit side by side at the start of one buffer, their
-concatenation is a view of that buffer, recorded with the same VJP.
+``concat_prefix`` records every channel concatenation: when the parts
+already sit side by side at the start of one buffer, their concatenation
+is a view of that buffer. ``concat_channels`` is ``concat_prefix`` over a
+fresh ``np.concatenate`` of the parts.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -487,6 +490,7 @@ def maxpool2(x):
     win = xb.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
     idx = win.argmax(axis=-1)
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    idx = idx.astype(np.uint8)  # window positions 0-3, kept for backward
 
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
@@ -648,20 +652,7 @@ def log1p(x):
 
 def concat_channels(tensors):
     """Concatenate feature maps along the channel axis (axis -3)."""
-    if not tensors:
-        raise ValueError("concat_channels needs at least one input")
-    first = tensors[0].data
-    for t in tensors[1:]:
-        if t.data.ndim != first.ndim:
-            raise ValueError("concat inputs must share rank")
-        if t.data.shape[-2:] != first.shape[-2:]:
-            raise ValueError(
-                f"spatial mismatch in concat: {t.data.shape[-2:]} vs {first.shape[-2:]}"
-            )
-        if first.ndim == 4 and t.data.shape[0] != first.shape[0]:
-            raise ValueError("batch mismatch in concat")
-    out = np.concatenate([t.data for t in tensors], axis=-3)
-    return _record(out, tuple(tensors), _split_channels(tensors), "concat_channels")
+    return concat_prefix(tensors, np.concatenate([t.data for t in tensors], axis=-3))
 
 
 def concat_prefix(tensors, buffer):
@@ -670,34 +661,24 @@ def concat_prefix(tensors, buffer):
     The caller guarantees that the leading channels of ``buffer`` already
     hold the tensors' values, side by side in order, as a dense block's
     feature buffer does. The result is the view of those channels; it is
-    recorded with the same tag and VJP as ``concat_channels``, so the
-    gradient is split back to the tensors and nothing is copied.
+    recorded under the ``concat_channels`` tag with a VJP that splits the
+    gradient back to the tensors. Every channel concatenation is recorded here.
     """
     if not tensors:
         raise ValueError("concat_prefix needs at least one input")
-    width = sum(t.data.shape[-3] for t in tensors)
+    sizes = [t.data.shape[-3] for t in tensors]
+    width = sum(sizes)
     for t in tensors:
         if t.data.shape[:-3] + t.data.shape[-2:] != buffer.shape[:-3] + buffer.shape[-2:]:
             raise ValueError(f"part of shape {t.data.shape} does not fit buffer {buffer.shape}")
     if width > buffer.shape[-3]:
         raise ValueError(f"parts span {width} channels, buffer has {buffer.shape[-3]}")
-    out = buffer[..., :width, :, :]
-    return _record(out, tuple(tensors), _split_channels(tensors), "concat_channels")
-
-
-def _split_channels(tensors):
-    """VJP of a channel concatenation: the gradient sliced back per input."""
-    sizes = [t.data.shape[-3] for t in tensors]
 
     def fn(g):
-        grads = []
-        offset = 0
-        for s in sizes:
-            grads.append(g[..., offset : offset + s, :, :])
-            offset += s
-        return tuple(grads)
+        return tuple(g[..., e - s : e, :, :] for s, e in zip(sizes, accumulate(sizes)))
 
-    return fn
+    out = buffer[..., :width, :, :]
+    return _record(out, tuple(tensors), fn, "concat_channels")
 
 
 # -- finite-difference verification ----------------------------------------

@@ -91,13 +91,13 @@ class TestDenseBlock:
     def test_output_is_last_layer_channels(self):
         block = DenseBlock(ParamStore(), "b", 3, 6, 4, (3, 3), rng(), np.float64)
         x = Tensor(np.random.default_rng(1).normal(size=(1, 3, 8, 8)))
-        assert block.forward(x, False).shape == (1, 6, 8, 8)
+        assert block.forward([x], False).shape == (1, 6, 8, 8)
 
     def test_single_layer_block_equals_composite_layer(self):
         x = Tensor(np.random.default_rng(2).normal(size=(1, 3, 6, 6)))
         block = DenseBlock(ParamStore(), "b", 3, 4, 1, (3, 3), rng(9), np.float64)
         layer = CompositeLayer(ParamStore(), "c", 3, 4, (3, 3), rng(9), np.float64)
-        got = block.forward(x, True).data
+        got = block.forward([x], True).data
         want = layer.forward(x, True).data
         np.testing.assert_array_equal(got, want)
 
@@ -105,7 +105,7 @@ class TestDenseBlock:
         store = ParamStore()
         block = DenseBlock(store, "b", 1, 2, 3, (3, 3), rng(3), np.float64)
         x = Tensor(np.random.default_rng(3).normal(size=(1, 1, 4, 4)))
-        block.forward(x, True).sum().backward()
+        block.forward([x], True).sum().backward()
         for name, p in store.params.items():
             assert p.grad is not None, name
             if name.endswith("conv.bias"):
@@ -116,9 +116,9 @@ class TestDenseBlock:
                 assert np.any(p.grad != 0.0), name
 
 
-def concat_chain(block, x, training):
+def concat_chain(block, parts, training):
     """A DenseBlock's forward pass with one explicit concatenation per layer."""
-    feats = [x]
+    feats = [parts[0] if len(parts) == 1 else T.concat_channels(parts)]
     for layer in block.layers:
         inp = feats[0] if len(feats) == 1 else T.concat_channels(feats)
         feats.append(layer.forward(inp, training))
@@ -129,27 +129,33 @@ class TestDenseBlockBuffer:
     """The shared feature buffer must reproduce the concatenating block exactly."""
 
     @staticmethod
-    def run(forward, xshape, layers, activation, training):
+    def run(forward, shapes, layers, activation, training):
         store = ParamStore()
-        block = DenseBlock(store, "b", xshape[-3], 3, layers, (3, 3), rng(21),
+        c_in = sum(shape[-3] for shape in shapes)
+        block = DenseBlock(store, "b", c_in, 3, layers, (3, 3), rng(21),
                            np.float64, activation=activation, alpha=0.2)
         gen = np.random.default_rng(22)
-        x = Tensor(gen.normal(size=xshape), requires_grad=True)
-        out = forward(block, x, training)
+        parts = [Tensor(gen.normal(size=shape), requires_grad=True) for shape in shapes]
+        out = forward(block, parts, training)
         (out * gen.normal(size=out.shape)).sum().backward()
         grads = {n: p.grad for n, p in store.params.items()}
-        return out.data, x.grad, grads, store.buffers
+        return out.data, [p.grad for p in parts], grads, store.buffers
 
-    # batch 2 makes every prefix view non-contiguous across the batch axis
-    @pytest.mark.parametrize("xshape", [(2, 2, 8, 6), (2, 8, 6)], ids=["4d", "3d"])
+    # batch 2 makes every prefix view non-contiguous across the batch axis;
+    # two parts are a decoder block's upsampled map and encoder skip
+    @pytest.mark.parametrize("shapes", [
+        [(2, 2, 8, 6)], [(2, 8, 6)], [(2, 2, 8, 6), (2, 3, 8, 6)], [(2, 8, 6), (3, 8, 6)],
+    ], ids=["4d", "3d", "4d-two-parts", "3d-two-parts"])
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
-    def test_matches_explicit_concatenation(self, xshape, layers, activation, training):
-        got = self.run(DenseBlock.forward, xshape, layers, activation, training)
-        want = self.run(concat_chain, xshape, layers, activation, training)
+    def test_matches_explicit_concatenation(self, shapes, layers, activation, training):
+        got = self.run(DenseBlock.forward, shapes, layers, activation, training)
+        want = self.run(concat_chain, shapes, layers, activation, training)
         np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            np.testing.assert_array_equal(g, w)
         assert got[2].keys() == want[2].keys()
         for name in got[2]:
             np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
@@ -164,12 +170,15 @@ class TestDenseBlockBuffer:
             forward = layer.forward
             layer.forward = lambda inp, training, out=None, f=forward: (
                 seen.append(inp.data) or f(inp, training, out=out))
-        block.forward(x, True)
-        assert seen[0] is x.data
-        # layers 1 and 2 read views of the same buffer, which holds x first
-        assert seen[1].base is not None and seen[1].base is seen[2].base
+        block.forward([x], True)
+        # every layer, the first included, reads a view of one buffer that
+        # holds a copy of x first
+        assert not np.shares_memory(seen[0], x.data)
+        assert seen[0].base is not None
+        assert seen[0].base is seen[1].base is seen[2].base
         assert seen[2].shape == (2, 2 + 2 * 3, 8, 6)
         np.testing.assert_array_equal(seen[2][:, :2], x.data)
+        np.testing.assert_array_equal(seen[0], seen[2][:, :2])
         np.testing.assert_array_equal(seen[1], seen[2][:, :5])
 
     def test_finite_difference_gradients(self):
@@ -180,7 +189,7 @@ class TestDenseBlockBuffer:
         proj = gen.normal(size=(2, 2, 4, 4))
 
         def loss():
-            return (block.forward(x, True) * proj).sum()
+            return (block.forward([x], True) * proj).sum()
 
         names = ["b.layer1.conv.weight", "b.layer2.bn.gamma", "b.layer0.bn.beta"]
         T.assert_gradients_match(loss, [x] + [store.params[n] for n in names],
@@ -374,6 +383,36 @@ class TestCheckpoint:
         mp1, mh1 = loaded.forward(x)
         np.testing.assert_array_equal(mp0.data, mp1.data)
         np.testing.assert_array_equal(mh0.data, mh1.data)
+
+    def test_roundtrip_non_default_branch_kernels(self, tmp_path):
+        model = MaskSeparator(tiny_cfg(branch_kernels=((3, 3), (5, 1))), seed=23)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.cfg == model.cfg
+        x = np.abs(np.random.default_rng(23).normal(size=(1, 1, 16, 16)))
+        mp0, mh0 = model.forward(x)
+        mp1, mh1 = loaded.forward(x)
+        np.testing.assert_array_equal(mp0.data, mp1.data)
+        np.testing.assert_array_equal(mh0.data, mh1.data)
+
+    def test_rejects_malformed_branch_weight(self, tmp_path):
+        model = MaskSeparator(tiny_cfg(), seed=24)
+        weight = model.store.params["branch1.enc0.layer0.conv.weight"]
+        weight.data = weight.data.reshape(weight.shape[0], -1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        with pytest.raises(ValueError, match="branch1 conv weight has rank 2"):
+            load_checkpoint(path)
+
+    def test_rejects_checkpoint_without_branches(self, tmp_path):
+        model = MaskSeparator(tiny_cfg(), seed=25)
+        for name in [n for n in model.store.params if n.startswith("branch")]:
+            del model.store.params[name]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        with pytest.raises(ValueError, match="no branch"):
+            load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

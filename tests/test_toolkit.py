@@ -317,6 +317,36 @@ class TestCli:
         assert f"{mix}: non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "p.wav").exists()
 
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    def test_silent_input_writes_silence(self, command, tmp_path, capsys):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.zeros(4410 + 37))
+        args = [command, "--in", str(mix)]
+        if command == "separate":
+            args += ["--ckpt", str(small_checkpoint(tmp_path)[2])]
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(args + ["--out-perc", str(out_p), "--out-harm", str(out_h)]) == 0
+        for out in (out_p, out_h):
+            samples, _ = read_wav(out)
+            np.testing.assert_array_equal(samples, np.zeros(4410 + 37))
+        capsys.readouterr()
+
+    def test_eval_rejects_silent_reference(self, tmp_path, capsys):
+        track = np.sin(np.linspace(0.0, 200.0, 4410))
+        ref_dir, est_dir = tmp_path / "ref" / "t0", tmp_path / "est" / "t0"
+        ref_dir.mkdir(parents=True)
+        est_dir.mkdir(parents=True)
+        write_wav(ref_dir / "drums.wav", np.zeros(4410))
+        write_wav(ref_dir / "other.wav", track)
+        write_wav(est_dir / "perc.wav", 0.5 * track)
+        write_wav(est_dir / "harm.wav", 0.5 * track)
+        report = tmp_path / "report.csv"
+        assert cli.main(["eval", "--est-dir", str(tmp_path / "est"),
+                         "--ref-dir", str(tmp_path / "ref"),
+                         "--report", str(report)]) == 1
+        assert "zero-energy reference" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_param_count_default_config(self, capsys):
         assert cli.main(["param-count"]) == 0
         printed = int(capsys.readouterr().out.strip())

@@ -385,3 +385,38 @@ class TestStepMemory:
             tracemalloc.stop()
         assert mp.shape == mh.shape == x.shape
         assert held < bound, (held, bound)
+
+    def test_block_inputs_live_only_in_block_buffers(self):
+        # The same count as above, without the separate block input: every
+        # block copies its parts (a decoder's upsampled map and skip, the
+        # fusion block's three branch outputs) straight into its buffer, and
+        # its first layer reads that buffer too. Per block the graph may hold
+        # the buffer, per layer BN's normalized input (k maps) and the
+        # activation mask (k one-byte maps), the block's last output, and
+        # after an encoder block the one-byte pooling indices.
+        k, layers, depth, final = 4, 3, 2, 3
+        net = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
+                            final_block_layers=final)
+        model = MaskSeparator(net, seed=0)
+        n, hw = 2, 128
+        x = np.random.default_rng(0).random((n, 1, hw, hw))
+
+        def maps(channels, scale):
+            return channels * n * (hw >> scale) ** 2 * x.itemsize
+
+        def block(c_in, n_layers, scale):
+            return maps(c_in + (n_layers - 1) * k + 1.125 * k * n_layers + k, scale)
+
+        branch = (sum(block(1 if s == 0 else k, layers, s) + maps(k, s + 1) / 8
+                      for s in range(depth))
+                  + block(k, layers, depth) + sum(block(2 * k, layers, s) for s in range(depth)))
+        bound = 3 * branch + block(3 * k, final, 0) + maps(2, 0)  # + the two masks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mp, mh = model.forward(Tensor(x), training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert mp.shape == mh.shape == x.shape
+        assert held < bound, (held, bound)
