@@ -6,9 +6,12 @@ Float files holding NaN or Inf are rejected.
 Everything downstream runs at 44.1 kHz, so other rates are rejected
 unless explicitly waived (there is no resampler here). Output is always
 float-32 mono, which round-trips bit-exactly.
+A file that ends inside its data chunk is rejected as truncated.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from scipy.io import wavfile
@@ -30,10 +33,15 @@ def read_wav(path, allow_other_rate=False):
     32767/32768. Stereo becomes the mean of the two channels.
     """
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            # scipy returns the samples it found when the data chunk is cut
+            # short; a truncated file is an error here, not a shorter track
+            warnings.filterwarnings("error", message="Reached EOF prematurely",
+                                    category=wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except FileNotFoundError:
         raise
-    except Exception as exc:  # scipy raises bare ValueError on bad RIFF data
+    except Exception as exc:  # bare ValueError on bad RIFF data, or the EOF warning
         raise AudioError(f"cannot read {path}: {exc}") from exc
 
     if data.dtype == np.int16:

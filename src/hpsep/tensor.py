@@ -26,10 +26,13 @@ float32 is kept when the caller supplies it, through constants, scalars
 and gradients alike.
 
 ``conv2d`` follows a narrow-side rule: its forward pass, input gradient
-and weight gradient each make kh*kw shifted copies of whichever of the
-input or output has fewer channels, never of the wider one. With
-C_out < C_in the forward pass is kn2row (one GEMM into per-tap planes,
-then a shift-add; Vasudevan et al. 2017, arXiv:1704.04428).
+and weight gradient each shift whichever of the input or output has fewer
+channels, never the wider one. The kh*kw shifted copies are built for one
+band of ceil(H / (kh*kw)) rows at a time, so no product holds more than
+about one extra copy of the narrow side beside its zero-padded map. With
+C_out < C_in the forward pass is kn2row (GEMMs into per-tap planes, then
+a shift-add; Vasudevan et al. 2017, arXiv:1704.04428), which works band
+by band as well (Anderson et al. 2017, arXiv:1709.03395).
 
 ``concat_prefix`` records every channel concatenation: when the parts
 already sit side by side at the start of one buffer, their concatenation
@@ -303,43 +306,87 @@ def _record(data, parents, backward_fn, op):
 # -- spatial ops ---------------------------------------------------------
 
 
-def _shifted_columns(xb, kh, kw):
-    """Stack every kernel-tap shift of a zero-padded (N, C, H, W) map.
+def _bands(h, taps):
+    """Row ranges [r0, r1) that cover h rows, ceil(h / taps) rows each.
 
-    Returns (N, C*kh*kw, H*W): row (c, i, j) holds the input shifted so that
-    tap (i, j) of a same-padded correlation reads it at the output position.
-    A 1x1 kernel has no shift, so the input itself comes back as a view.
+    A band's tap stack then holds about one unshifted copy of its map.
+    """
+    step = -(-h // taps)
+    return [(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+
+
+def _rows(arr, r0, r1):
+    """Rows r0:r1 of an (N, C, H, W) array as an (N, C, rows*W) view."""
+    n, c, _, wd = arr.shape
+    return arr[:, :, r0:r1].reshape(n, c, (r1 - r0) * wd)
+
+
+def _shifted_columns(xp, kh, kw, r0, r1):
+    """Stack every kernel-tap shift of output rows r0:r1, read from a padded map.
+
+    xp is the (N, C, H + kh - 1, W + kw - 1) zero-padded map. Returns
+    (N, C*kh*kw, (r1 - r0)*W): row (c, i, j) holds the input shifted so that
+    tap (i, j) of a same-padded correlation reads it at output rows r0:r1.
+    """
+    n, c = xp.shape[:2]
+    wd = xp.shape[3] - (kw - 1)
+    cols = np.empty((n, c, kh, kw, r1 - r0, wd), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, r0 + i : r1 + i, j : j + wd]
+    return cols.reshape(n, c * kh * kw, (r1 - r0) * wd)
+
+
+def _shift_add(acc, planes, kh, kw, r0):
+    """Adjoint of ``_shifted_columns``: add per-tap planes of rows r0.. into acc.
+
+    acc: the (N, C, H + kh - 1, W + kw - 1) padded accumulator. planes:
+    (N, C*kh*kw, rows*W) with rows ordered (c, i, j), computed from map rows
+    r0:r0 + rows. Plane (c, i, j) is shifted the opposite way to tap (i, j)
+    of ``_shifted_columns`` and added into channel c; what lands in the
+    padding is dropped with it. Bands added bottom-up, each in (i, j) order,
+    give every element its taps in (i, j) order, as one whole-map pass does.
+    """
+    n, c, _, wp = acc.shape
+    wd = wp - (kw - 1)
+    rows = planes.shape[2] // wd
+    p = planes.reshape(n, c, kh, kw, rows, wd)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, r0 + i : r0 + i + rows, j : j + wd] += p[:, :, i, j]
+
+
+def _tap_stacks(xb, kh, kw):
+    """Yield (r0, r1, stack): ``_shifted_columns`` of xb, one band at a time.
+
+    A 1x1 kernel has no shift: one band, the input itself as a view.
     """
     n, c, h, wd = xb.shape
     if kh == kw == 1:
-        return xb.reshape(n, c, h * wd)
+        yield 0, h, xb.reshape(n, c, h * wd)
+        return
     ph, pw = kh // 2, kw // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kh, kw, h, wd), dtype=xb.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + wd]
-    return cols.reshape(n, c * kh * kw, h * wd)
+    for r0, r1 in _bands(h, kh * kw):
+        yield r0, r1, _shifted_columns(xp, kh, kw, r0, r1)
 
 
-def _shift_add(planes, kh, kw, h, wd):
-    """Adjoint of ``_shifted_columns``: sum per-tap planes back onto the map.
+def _gemm_shift_add(a, xb, kh, kw):
+    """``_shift_add`` of the per-tap planes ``a @ xb``, one band of rows at a time.
 
-    planes: (N, C*kh*kw, H*W) with rows ordered (c, i, j). Plane (c, i, j)
-    is shifted the opposite way to tap (i, j) of ``_shifted_columns`` and
-    added into channel c; whatever lands in the padding is dropped.
-    Returns (N, C, H, W).
+    a: (C*kh*kw, C_x) with rows ordered (c, i, j). Bands run bottom-up, so
+    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W); a
+    1x1 kernel makes it the plain GEMM.
     """
-    n = planes.shape[0]
-    c = planes.shape[1] // (kh * kw)
-    if kh == kw == 1:
-        return planes.reshape(n, c, h, wd)
+    n, c_x, h, wd = xb.shape
+    taps = kh * kw
+    if taps == 1:
+        return (a @ xb.reshape(n, c_x, h * wd)).reshape(n, -1, h, wd)
     ph, pw = kh // 2, kw // 2
-    p = planes.reshape(n, c, kh, kw, h, wd)
-    acc = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=planes.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, :, i : i + h, j : j + wd] += p[:, :, i, j]
+    acc = np.zeros((n, a.shape[0] // taps, h + 2 * ph, wd + 2 * pw),
+                   dtype=np.result_type(a, xb))
+    for r0, r1 in reversed(_bands(h, taps)):
+        _shift_add(acc, a @ _rows(xb, r0, r1), kh, kw, r0)
     return acc[:, :, ph : ph + h, pw : pw + wd]
 
 
@@ -349,18 +396,24 @@ def conv2d(x, weight, bias):
     weight: (C_out, C_in, kh, kw) with odd kh, kw. bias: (C_out,).
     Output spatial size equals input spatial size.
 
-    Each of the three products (the output, dx and dw) is one GEMM plus a
-    tap stack or shift-add over whichever side has fewer channels, so the
+    Each of the three products (the output, dx and dw) is GEMMs plus tap
+    stacks or shift-adds over whichever side has fewer channels, so the
     wide side is never copied kh*kw times:
 
-    - C_out < C_in: forward is kn2row, one GEMM of the kernel against the
+    - C_out < C_in: forward is kn2row, GEMMs of the kernel against the
       unshifted input into kh*kw*C_out per-tap planes, then a shift-add.
-      Backward shifts the output gradient once and uses those copies for
-      both dx and dw.
+      Backward shifts the output gradient and uses those copies for both
+      dx and dw.
     - C_in <= C_out: forward is im2col over the input. Backward shifts the
       input for dw and computes dx kn2row-style, GEMM then shift-add.
 
-    A 1x1 kernel makes every product a plain GEMM.
+    Every stack is built for one band of ceil(H / (kh*kw)) output rows at
+    a time, so no product holds more than about one extra copy of the
+    narrow side, plus its zero-padded map. Stacked bands GEMM straight
+    into their rows of the output or dx; shift-add bands run bottom-up.
+    The output and dx are bit-identical to whole-map stacks; dw is summed
+    over bands, which reorders its float sum. A 1x1 kernel makes every
+    product a plain GEMM.
     """
     xb, was3d = _batched(x.data)
     w = weight.data
@@ -379,20 +432,19 @@ def conv2d(x, weight, bias):
     taps = kh * kw
     narrow_out = c_out < c_in
     need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
-    xr = xb.reshape(n, c_in, h * wd)
 
     if narrow_out:
         # output = sum over taps of shift(W_tap @ x); _shift_add shifts the
         # opposite way, so it is fed the planes of the flipped kernel
         wrows = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * taps, c_in)
-        planes = wrows @ xr
-        out = _shift_add(planes, kh, kw, h, wd)
-        out += b[:, None, None]
+        out = _gemm_shift_add(wrows, xb, kh, kw)
     else:
-        cols = _shifted_columns(xb, kh, kw)
-        out = (w.reshape(c_out, c_in * taps) @ cols).reshape(n, c_out, h, wd)
-        out += b[:, None, None]
-        del cols  # rebuilt on demand in fn; keeping it would pin kh*kw input copies
+        out = np.empty((n, c_out, h, wd), dtype=np.result_type(w, xb))
+        wmat = w.reshape(c_out, c_in * taps)
+        for r0, r1, cols in _tap_stacks(xb, kh, kw):
+            np.matmul(wmat, cols, out=_rows(out, r0, r1))
+            del cols  # freed before the next band's stack is built
+    out += b[:, None, None]
 
     def fn(g):
         gb = g if g.ndim == 4 else g[None]
@@ -401,23 +453,30 @@ def conv2d(x, weight, bias):
             db = gb.sum(axis=(0, 2, 3))
         if narrow_out:
             # the adjoint of tap (i, j) is the shift of the flipped tap, so one
-            # stack of output-gradient shifts serves dx and dw alike
-            if need_dx or need_dw:
-                gcols = _shifted_columns(gb, kh, kw)
-            if need_dw:
-                dwt = (gcols @ xr.transpose(0, 2, 1)).sum(axis=0)
-                dw = dwt.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            # band of output-gradient shifts serves dx and dw alike
             if need_dx:
                 wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
-                dx = (wflip @ gcols).reshape(n, c_in, h, wd)
-        else:
-            gr = gb.reshape(n, c_out, h * wd)
+                dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, gb))
+            if need_dx or need_dw:
+                for r0, r1, gcols in _tap_stacks(gb, kh, kw):
+                    if need_dw:
+                        part = (gcols @ _rows(xb, r0, r1).transpose(0, 2, 1)).sum(axis=0)
+                        dw = part if dw is None else dw + part
+                    if need_dx:
+                        np.matmul(wflip, gcols, out=_rows(dx, r0, r1))
+                    del gcols
             if need_dw:
-                xcols = _shifted_columns(xb, kh, kw)
-                dw = (gr @ xcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+                dw = dw.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        else:
+            if need_dw:
+                for r0, r1, xcols in _tap_stacks(xb, kh, kw):
+                    part = (_rows(gb, r0, r1) @ xcols.transpose(0, 2, 1)).sum(axis=0)
+                    dw = part if dw is None else dw + part
+                    del xcols
+                dw = dw.reshape(w.shape)
             if need_dx:
                 wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
-                dx = _shift_add(wrows @ gr, kh, kw, h, wd)
+                dx = _gemm_shift_add(wrows, gb, kh, kw)
         if dx is not None and was3d:
             dx = dx[0]
         return (dx, dw, db)

@@ -94,6 +94,12 @@ class TestWavIO:
         with pytest.raises(AudioError, match="non-finite"):
             read_wav(path)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = truncated_wav(tmp_path / "cut.wav")
+        with pytest.raises(AudioError, match="Reached EOF prematurely") as info:
+            read_wav(path)
+        assert str(path) in str(info.value)
+
     def test_write_rejects_non_mono(self, tmp_path):
         with pytest.raises(AudioError, match="non-mono"):
             write_wav(tmp_path / "x.wav", np.zeros((10, 2)))
@@ -101,6 +107,15 @@ class TestWavIO:
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(AudioError, match="non-finite"):
             write_wav(tmp_path / "x.wav", np.array([0.0, np.nan]))
+
+
+def truncated_wav(path):
+    """A 1.4 s float32 WAV cut to half its bytes, inside its data chunk."""
+    samples = np.random.default_rng(3).normal(size=int(1.4 * 44100)).astype(np.float32)
+    wavfile.write(path, 44100, 0.1 * samples)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    return path
 
 
 def quick_spec(**overrides):
@@ -330,6 +345,42 @@ class TestCli:
             samples, _ = read_wav(out)
             np.testing.assert_array_equal(samples, np.zeros(4410 + 37))
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    def test_constant_input_writes_finite_stems(self, command, tmp_path, capsys):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.full(4410 + 37, 0.25))
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(self.split_args(command, tmp_path, mix, out_p, out_h)) == 0
+        for out in (out_p, out_h):
+            samples, _ = read_wav(out)
+            assert samples.shape == (4410 + 37,) and np.all(np.isfinite(samples))
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    def test_truncated_input_exits_1(self, command, tmp_path, capsys):
+        mix = truncated_wav(tmp_path / "mix.wav")
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(self.split_args(command, tmp_path, mix, out_p, out_h)) == 1
+        assert f"cannot read {mix}: Reached EOF prematurely" in capsys.readouterr().err
+        assert not out_p.exists() and not out_h.exists()
+
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    def test_odd_rate_input_exits_1(self, command, tmp_path, capsys):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.zeros(4410), rate=22050)
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(self.split_args(command, tmp_path, mix, out_p, out_h)) == 1
+        assert "sample rate 22050 Hz" in capsys.readouterr().err
+        assert not out_p.exists() and not out_h.exists()
+
+    @staticmethod
+    def split_args(command, tmp_path, mix, out_p, out_h):
+        """Arguments of ``separate`` (with a tiny checkpoint) or ``baseline``."""
+        args = [command, "--in", str(mix), "--out-perc", str(out_p), "--out-harm", str(out_h)]
+        if command == "separate":
+            args += ["--ckpt", str(small_checkpoint(tmp_path)[2])]
+        return args
 
     def test_eval_rejects_silent_reference(self, tmp_path, capsys):
         track = np.sin(np.linspace(0.0, 200.0, 4410))
