@@ -10,18 +10,26 @@ Reconstruction is weighted overlap-add: the synthesis window is applied
 a second time and the accumulated signal is divided pointwise by the
 summed squared window. That normalizer stays >= 0.5 over the retained
 region, and analysis followed by synthesis is exact up to rounding.
+Window and hop are fixed (``WIN_LENGTH``, ``HOP``, ``hann_window``), so
+a Spectrogram carries only its values, sample rate and signal length.
 
 The rfft of a 1024-sample frame yields 513 bins. Spectrogram keeps all
 513 so inversion loses nothing; the network-facing magnitude patches use
 the first 512 (the top bin carries negligible music energy at 44.1 kHz).
 When masks are applied, each 512-bin mask is edge-extended over the top
 bin, so complementary masks rebuild the mixture exactly.
+
+Patches are (512, 128) tiles along time. ``patchify`` zero-pads the
+frame axis once to a multiple of 128 and hands out views of that padded
+matrix; ``depatchify`` joins tiles and trims them to a frame count, which
+the caller keeps (``Spectrogram.frames``). A tile record holds only its
+values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +66,7 @@ def hann_window(length):
 
 @dataclass
 class Spectrogram:
-    """Complex STFT, shape (win_length // 2 + 1, frames).
+    """Complex STFT, shape (WIN_LENGTH // 2 + 1, frames).
 
     ``orig_length`` records the sample count of the analyzed signal so
     that inversion can trim the analysis padding exactly.
@@ -67,20 +75,11 @@ class Spectrogram:
     values: np.ndarray
     sample_rate: int
     orig_length: int
-    win_length: int = WIN_LENGTH
-    hop: int = HOP
-    window: np.ndarray = field(default_factory=lambda: hann_window(WIN_LENGTH))
 
     def __post_init__(self):
-        if self.win_length != 2 * self.hop:
+        if self.values.ndim != 2 or self.values.shape[0] != WIN_LENGTH // 2 + 1:
             raise ValueError(
-                f"hop must be half the window: got hop={self.hop}, win={self.win_length}"
-            )
-        if self.window.shape != (self.win_length,):
-            raise ValueError("window length does not match win_length")
-        if self.values.ndim != 2 or self.values.shape[0] != self.win_length // 2 + 1:
-            raise ValueError(
-                f"expected ({self.win_length // 2 + 1}, frames) spectrogram, "
+                f"expected ({WIN_LENGTH // 2 + 1}, frames) spectrogram, "
                 f"got shape {self.values.shape}"
             )
         if self.orig_length < 1:
@@ -115,8 +114,7 @@ def stft(signal, sample_rate=44100):
     window = hann_window(WIN_LENGTH)
     frames = np.lib.stride_tricks.sliding_window_view(x, WIN_LENGTH)[::HOP]
     spectra = np.fft.rfft(frames * window, axis=1)
-    return Spectrogram(spectra.T.copy(), sample_rate=sample_rate, orig_length=orig,
-                       window=window)
+    return Spectrogram(spectra.T.copy(), sample_rate=sample_rate, orig_length=orig)
 
 
 def istft(spec):
@@ -127,48 +125,25 @@ def istft(spec):
     equals ``spec.orig_length``.
     """
     frames = spec.frames
-    window = spec.window
-    time_frames = np.fft.irfft(spec.values.T, n=spec.win_length, axis=1) * window
-    total = (frames - 1) * spec.hop + spec.win_length
+    window = hann_window(WIN_LENGTH)
+    time_frames = np.fft.irfft(spec.values.T, n=WIN_LENGTH, axis=1) * window
+    total = (frames - 1) * HOP + WIN_LENGTH
     acc = np.zeros(total)
     norm = np.zeros(total)
     w2 = window * window
     for t in range(frames):
-        s = t * spec.hop
-        acc[s : s + spec.win_length] += time_frames[t]
-        norm[s : s + spec.win_length] += w2
+        s = t * HOP
+        acc[s : s + WIN_LENGTH] += time_frames[t]
+        norm[s : s + WIN_LENGTH] += w2
     rec = acc / np.maximum(norm, _NORM_FLOOR)
-    return rec[spec.hop : spec.hop + spec.orig_length]
+    return rec[HOP : HOP + spec.orig_length]
 
 
 @dataclass
 class MagPatch:
-    """One (512, 128) magnitude tile plus its position in the full track.
-
-    ``pad_frames`` counts trailing zero columns added to fill the final
-    tile; ``normalized`` flags log-compressed min-max values in [0, 1] as
-    opposed to raw magnitudes.
-    """
+    """One (512, 128) magnitude tile."""
 
     values: np.ndarray
-    origin_frame: int
-    pad_frames: int = 0
-    normalized: bool = False
-
-    def __post_init__(self):
-        if self.values.shape != (N_BINS, PATCH_FRAMES):
-            raise ValueError(
-                f"patch must be ({N_BINS}, {PATCH_FRAMES}), got {self.values.shape}"
-            )
-        if self.origin_frame < 0 or not 0 <= self.pad_frames < PATCH_FRAMES:
-            raise ValueError("invalid patch bookkeeping")
-        lo = float(self.values.min())
-        hi = float(self.values.max())
-        if self.normalized:
-            if lo < 0.0 or hi > 1.0:
-                raise ValueError("normalized patch values must lie in [0, 1]")
-        elif lo < 0.0:
-            raise ValueError("raw magnitude patch must be nonnegative")
 
 
 @dataclass
@@ -180,39 +155,30 @@ class GlobalStats:
 
 
 def patchify(mag):
-    """Split a (512, frames) magnitude matrix into non-overlapping tiles.
+    """Split a (512, frames) magnitude matrix into (512, 128) tiles.
 
-    The final tile is zero-padded on the right and the pad width recorded
-    so that ``depatchify`` restores the input bit-exactly.
+    The frame axis is zero-padded once, up to a multiple of 128, and each
+    tile's ``values`` is a view of that padded copy. ``depatchify`` with
+    the input's frame count restores the input bit-exactly.
     """
     mag = np.asarray(mag)
     if mag.ndim != 2 or mag.shape[0] != N_BINS:
         raise ValueError(f"expected ({N_BINS}, frames), got shape {mag.shape}")
-    total = mag.shape[1]
-    if total < 1:
+    if mag.shape[1] < 1:
         raise ValueError("cannot patch an empty spectrogram")
-    patches = []
-    for start in range(0, total, PATCH_FRAMES):
-        chunk = mag[:, start : start + PATCH_FRAMES]
-        pad = PATCH_FRAMES - chunk.shape[1]
-        if pad:
-            chunk = np.pad(chunk, ((0, 0), (0, pad)))
-        patches.append(MagPatch(np.ascontiguousarray(chunk), origin_frame=start, pad_frames=pad))
-    return patches
+    padded = np.pad(mag, ((0, 0), (0, -mag.shape[1] % PATCH_FRAMES)))
+    return [MagPatch(v) for v in np.split(padded, padded.shape[1] // PATCH_FRAMES, axis=1)]
 
 
-def depatchify(patches):
-    """Inverse of ``patchify``: reassemble tiles and drop the recorded pad."""
-    if not patches:
-        raise ValueError("no patches to assemble")
-    for i, p in enumerate(patches):
-        if p.origin_frame != i * PATCH_FRAMES:
-            raise ValueError("patches must be contiguous and ordered")
-        if p.pad_frames and i != len(patches) - 1:
-            raise ValueError("only the final patch may be padded")
-    total = len(patches) * PATCH_FRAMES - patches[-1].pad_frames
-    out = np.concatenate([p.values for p in patches], axis=1)
-    return out[:, :total]
+def depatchify(tiles, frames):
+    """Inverse of ``patchify``: join (512, 128) tile arrays and keep ``frames``.
+
+    ``frames`` must end inside the last tile, as ``patchify`` frames it.
+    """
+    n = len(tiles)
+    if frames < 1 or not (n - 1) * PATCH_FRAMES < frames <= n * PATCH_FRAMES:
+        raise ValueError(f"{n} tiles of {PATCH_FRAMES} frames cannot hold {frames}")
+    return np.concatenate(tiles, axis=1)[:, :frames]
 
 
 def compute_global_stats(patches):
@@ -225,8 +191,6 @@ def compute_global_stats(patches):
     hi = -np.inf
     count = 0
     for p in patches:
-        if p.normalized:
-            raise ValueError("global stats must be computed from raw patches")
         logv = np.log1p(p.values)
         lo = min(lo, float(logv.min()))
         hi = max(hi, float(logv.max()))

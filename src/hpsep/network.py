@@ -445,6 +445,18 @@ def load_checkpoint(path, dtype=np.float64):
     cfg = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
                         final_block_layers=final_layers, leaky_alpha=alpha,
                         branch_kernels=tuple(kernels))
+    # The header sizes the model before any record is matched, so each of
+    # its integers must be borne out by the records: then a hostile header
+    # cannot build a model larger than the file.
+    stored_k = arrays["branch0.enc0.layer0.conv.weight"].shape[0]
+    if stored_k != k:
+        raise ValueError(f"header growth_rate {k} does not match the stored "
+                         f"weights ({stored_k} channels)")
+    for key, name in (("depth", f"branch0.enc{depth - 1}.layer0.conv.weight"),
+                      ("layers_per_block", f"branch0.enc0.layer{layers - 1}.conv.weight"),
+                      ("final_block_layers", f"fuse.layer{final_layers - 1}.conv.weight")):
+        if name not in arrays:
+            raise ValueError(f"header {key} {getattr(cfg, key)} has no stored {name!r}")
     stats = GlobalStats(min_val=stat_min, max_val=stat_max)
     model = MaskSeparator(cfg, dtype=dtype)
     expected = set(model.store.params) | set(model.store.buffers)

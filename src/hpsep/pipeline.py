@@ -1,10 +1,10 @@
 """Whole-signal separation: run the mask network over every patch.
 
-The mixture is transformed once; each 512x128 magnitude tile is
-normalized with the checkpoint's training statistics and batched through
-the network in inference mode. Estimated mask tiles are stitched back
-into full-width mask matrices (the tile bookkeeping is exact, so output
-length equals input length) and applied to the mixture spectrogram with
+The mixture is transformed once and its magnitude cut into 512x128
+tiles. Each batch of tiles is normalized with the checkpoint's training
+statistics and run through the network in inference mode. The mask tiles
+are joined and trimmed to the spectrogram's frame count, so output
+length equals input length, and applied to the mixture spectrogram with
 its original phase.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from . import tensor as T
 from .dsp import (
     N_BINS,
-    MagPatch,
     apply_masks,
     depatchify,
     normalize_values,
@@ -29,20 +28,16 @@ __all__ = ["separate_samples", "estimate_masks"]
 
 def estimate_masks(model, stats, spec, batch_size=4):
     """(mask_perc, mask_harm), each (512, frames), for a Spectrogram."""
-    patches = patchify(spec.magnitude()[:N_BINS])
-    mask_p_patches = []
-    mask_h_patches = []
+    tiles = [p.values for p in patchify(spec.magnitude()[:N_BINS])]
+    masks_p = []
+    masks_h = []
     with T.no_grad():
-        for lo in range(0, len(patches), batch_size):
-            chunk = patches[lo : lo + batch_size]
-            xn = np.stack([normalize_values(p.values, stats) for p in chunk])[:, None]
+        for lo in range(0, len(tiles), batch_size):
+            xn = normalize_values(np.stack(tiles[lo : lo + batch_size]), stats)[:, None]
             mp, mh = model.forward(Tensor(xn), training=False)
-            for src, vp, vh in zip(chunk, mp.data[:, 0], mh.data[:, 0]):
-                kw = dict(origin_frame=src.origin_frame, pad_frames=src.pad_frames,
-                          normalized=True)
-                mask_p_patches.append(MagPatch(vp, **kw))
-                mask_h_patches.append(MagPatch(vh, **kw))
-    return depatchify(mask_p_patches), depatchify(mask_h_patches)
+            masks_p.extend(mp.data[:, 0])
+            masks_h.extend(mh.data[:, 0])
+    return depatchify(masks_p, spec.frames), depatchify(masks_h, spec.frames)
 
 
 def separate_samples(model, stats, samples, sample_rate=44100, batch_size=4):

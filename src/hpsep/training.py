@@ -10,8 +10,9 @@ does not depend on the patch size. Masks multiply raw (unnormalized)
 magnitudes; only the network input is normalized.
 
 Ground truth comes from time-domain stems: the percussive target is the
-drums stem and the harmonic target is mixture minus drums, all three run
-through the identical stft -> magnitude -> patchify framing.
+drums stem and the harmonic target is mixture minus drums. All three have
+one length, so stft -> magnitude -> patchify gives them one framing and
+each Example holds three tiles of the same frames.
 
 Optimization is ADAM with bias correction. After each epoch the validation
 loss drives a plateau schedule: no improvement for 3 epochs halves the
@@ -101,23 +102,11 @@ class TrainConfig:
 
 @dataclass
 class Example:
-    """Aligned raw-magnitude patches: mixture, percussive GT, harmonic GT."""
+    """Raw-magnitude tiles of one framing: mixture, percussive GT, harmonic GT."""
 
     x: MagPatch
     p: MagPatch
     h: MagPatch
-
-    def __post_init__(self):
-        for other in (self.p, self.h):
-            if other.values.shape != self.x.values.shape:
-                raise ValueError("example patches must share one shape")
-            if (other.origin_frame, other.pad_frames) != (
-                self.x.origin_frame,
-                self.x.pad_frames,
-            ):
-                raise ValueError("example patches must share framing")
-        if self.x.normalized or self.p.normalized or self.h.normalized:
-            raise ValueError("examples hold raw patches; normalize at batch time")
 
 
 @dataclass
@@ -216,22 +205,19 @@ def make_ground_truth(mix, drums, sample_rate=44100):
     """Build aligned Examples from a mixture and its drums stem.
 
     The harmonic target waveform is mix - drums, computed in the time
-    domain before any transform, so the three spectrograms share framing
-    exactly.
+    domain before any transform, so the three signals share one length
+    and their tiles one framing.
     """
     mix = np.asarray(mix, dtype=np.float64)
     drums = np.asarray(drums, dtype=np.float64)
     if mix.shape != drums.shape:
         raise ValueError(f"length mismatch: mix {mix.shape}, drums {drums.shape}")
     harmonic = mix - drums
-    mags = [
-        stft(samples, sample_rate).magnitude()[:N_BINS]
+    tiles = [
+        patchify(stft(samples, sample_rate).magnitude()[:N_BINS])
         for samples in (mix, drums, harmonic)
     ]
-    return [
-        Example(x=px, p=pp, h=ph)
-        for px, pp, ph in zip(patchify(mags[0]), patchify(mags[1]), patchify(mags[2]))
-    ]
+    return [Example(x=px, p=pp, h=ph) for px, pp, ph in zip(*tiles)]
 
 
 def split_tracks(n_tracks, val_fraction, rng):
@@ -255,11 +241,10 @@ class TrainResult:
 
 
 def _batch_arrays(examples, stats):
-    xn = np.stack([normalize_values(e.x.values, stats) for e in examples])[:, None]
     xr = np.stack([e.x.values for e in examples])[:, None]
     pr = np.stack([e.p.values for e in examples])[:, None]
     hr = np.stack([e.h.values for e in examples])[:, None]
-    return xn, xr, pr, hr
+    return normalize_values(xr, stats), xr, pr, hr
 
 
 def _epoch_loss(model, examples, stats, cfg, batch_size):

@@ -48,7 +48,7 @@ class TestWindowAndFraming:
         # documented floor over retained samples (it is >= 0.5 there)
         x = rng.standard_normal(SR + 333)
         spec = stft(x, SR)
-        w2 = spec.window**2
+        w2 = hann_window(WIN_LENGTH) ** 2
         total = (spec.frames - 1) * HOP + WIN_LENGTH
         norm = np.zeros(total)
         for t in range(spec.frames):
@@ -117,29 +117,48 @@ class TestPatchify:
         mag = np.abs(rng.standard_normal((N_BINS, 2 * PATCH_FRAMES)))
         patches = patchify(mag)
         assert len(patches) == 2
-        assert all(p.pad_frames == 0 for p in patches)
-        assert [p.origin_frame for p in patches] == [0, PATCH_FRAMES]
+        np.testing.assert_array_equal(patches[0].values, mag[:, :PATCH_FRAMES])
+        np.testing.assert_array_equal(patches[1].values, mag[:, PATCH_FRAMES:])
 
     def test_partial_final_patch_padded(self, rng):
         mag = np.abs(rng.standard_normal((N_BINS, PATCH_FRAMES + 2)))
         patches = patchify(mag)
         assert len(patches) == 2
-        assert patches[-1].pad_frames == PATCH_FRAMES - 2
+        assert all(p.values.shape == (N_BINS, PATCH_FRAMES) for p in patches)
+        np.testing.assert_array_equal(patches[-1].values[:, :2], mag[:, PATCH_FRAMES:])
         assert np.all(patches[-1].values[:, 2:] == 0.0)
+
+    def test_tiles_are_views_of_one_padded_copy(self, rng):
+        mag = np.abs(rng.standard_normal((N_BINS, 2 * PATCH_FRAMES + 5)))
+        patches = patchify(mag)
+        base = patches[0].values.base
+        assert base is not None and base.shape == (N_BINS, 3 * PATCH_FRAMES)
+        assert all(p.values.base is base for p in patches)
+        assert not np.shares_memory(base, mag)
 
     @pytest.mark.parametrize("frames", [1, 127, 128, 129, 300])
     def test_roundtrip_bit_exact(self, rng, frames):
         mag = np.abs(rng.standard_normal((N_BINS, frames)))
-        np.testing.assert_array_equal(depatchify(patchify(mag)), mag)
+        tiles = [p.values for p in patchify(mag)]
+        assert len(tiles) == -(-frames // PATCH_FRAMES)
+        np.testing.assert_array_equal(depatchify(tiles, frames), mag)
 
     def test_wrong_bins_rejected(self, rng):
         with pytest.raises(ValueError):
             patchify(np.abs(rng.standard_normal((100, 50))))
 
-    def test_depatchify_ordering_enforced(self, rng):
-        patches = patchify(np.abs(rng.standard_normal((N_BINS, 2 * PATCH_FRAMES))))
-        with pytest.raises(ValueError):
-            depatchify(patches[::-1])
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            patchify(np.zeros((N_BINS, 0)))
+
+    def test_depatchify_frame_count_enforced(self):
+        # two tiles hold 129..256 frames; fewer leaves a tile of pure padding
+        tiles = [p.values for p in patchify(np.ones((N_BINS, 2 * PATCH_FRAMES)))]
+        for frames in (0, PATCH_FRAMES, 2 * PATCH_FRAMES + 1):
+            with pytest.raises(ValueError, match="cannot hold"):
+                depatchify(tiles, frames)
+        with pytest.raises(ValueError, match="cannot hold"):
+            depatchify([], 1)
 
 
 class TestNormalization:
@@ -166,16 +185,16 @@ class TestNormalization:
             normalize_values(np.ones(4), GlobalStats(0.5, 0.5))
 
     def test_stats_from_corpus(self, rng):
-        zeros = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)), origin_frame=0)
+        zeros = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)))
         stats = compute_global_stats([zeros])
         assert stats.min_val == 0.0 and stats.max_val == 0.0
         with pytest.raises(ValueError):
             normalize_values(zeros.values, stats)
 
-        a = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)), origin_frame=0)
+        a = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)))
         bvals = np.zeros((N_BINS, PATCH_FRAMES))
         bvals[0, 0] = np.e - 1.0
-        b = MagPatch(bvals, origin_frame=0)
+        b = MagPatch(bvals)
         stats = compute_global_stats([a, b])
         assert stats.min_val == 0.0
         np.testing.assert_allclose(stats.max_val, 1.0, rtol=1e-12)
@@ -235,13 +254,10 @@ class TestApplyMasks:
 
 
 class TestSpectrogramValidation:
-    def test_bad_hop_rejected(self):
-        with pytest.raises(ValueError):
-            Spectrogram(
-                np.zeros((513, 4), dtype=complex), sample_rate=SR, orig_length=100,
-                win_length=1024, hop=256,
-            )
-
     def test_bad_bin_count_rejected(self):
         with pytest.raises(ValueError):
             Spectrogram(np.zeros((512, 4), dtype=complex), sample_rate=SR, orig_length=100)
+
+    def test_bad_orig_length_rejected(self):
+        with pytest.raises(ValueError, match="orig_length"):
+            Spectrogram(np.zeros((513, 4), dtype=complex), sample_rate=SR, orig_length=0)

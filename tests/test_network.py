@@ -428,6 +428,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    # header integers sit after the 4-byte magic and the u16 version
+    @pytest.mark.parametrize("offset, key, value", [
+        (6, "growth_rate", 200_000),  # would size a multi-TiB weight
+        (10, "layers_per_block", 3),
+        (14, "depth", 3),
+        (18, "final_block_layers", 3),
+    ])
+    def test_rejects_header_the_records_do_not_bear_out(self, tmp_path, offset, key,
+                                                         value):
+        _, _, path = self.roundtrip_model(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"header {key} {value}"):
+            load_checkpoint(path)
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model, stats, path = self.roundtrip_model(tmp_path)
         before = path.read_bytes()

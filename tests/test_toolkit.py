@@ -22,10 +22,11 @@ from hpsep.data import (
     synth_track,
     write_dataset,
 )
-from hpsep.dsp import stft
+from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, normalize_values, stft
 from hpsep.network import MaskSeparator, NetworkConfig, save_checkpoint
 from hpsep.dsp import GlobalStats
-from hpsep.pipeline import separate_samples
+from hpsep.metrics import read_report
+from hpsep.pipeline import estimate_masks, separate_samples
 
 
 class TestWavIO:
@@ -290,6 +291,23 @@ class TestPipeline:
         assert np.sum(perc**2) < np.sum(samples**2)
         assert np.sum(harm**2) < np.sum(samples**2)
 
+    def test_estimate_masks_batches_match_one_tile_at_a_time(self, tmp_path):
+        model, stats, _ = small_checkpoint(tmp_path)
+        # 600 frames: five tiles, the last with 88 frames of padding, run
+        # at two tiles per batch so the last batch holds a single tile
+        spec = stft(np.random.default_rng(9).normal(size=599 * HOP - 100) * 0.1)
+        assert spec.frames == 600
+        mask_p, mask_h = estimate_masks(model, stats, spec, batch_size=2)
+        mag = np.pad(spec.magnitude()[:N_BINS], ((0, 0), (0, 5 * PATCH_FRAMES - 600)))
+        tiles_p, tiles_h = [], []
+        for lo in range(0, 5 * PATCH_FRAMES, PATCH_FRAMES):
+            x = normalize_values(mag[:, lo : lo + PATCH_FRAMES], stats)[None, None]
+            mp, mh = model.forward(x)
+            tiles_p.append(mp.data[0, 0])
+            tiles_h.append(mh.data[0, 0])
+        np.testing.assert_array_equal(mask_p, np.hstack(tiles_p)[:, :600])
+        np.testing.assert_array_equal(mask_h, np.hstack(tiles_h)[:, :600])
+
 
 def write_synth_cfg(path, n_tracks=2, duration_s=1.6):
     path.write_text(
@@ -331,6 +349,20 @@ class TestCli:
         assert rc == 1
         assert f"{mix}: non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "p.wav").exists()
+
+    def test_separate_rejects_hostile_checkpoint_header(self, tmp_path, capsys):
+        _, _, ckpt = small_checkpoint(tmp_path)
+        blob = bytearray(ckpt.read_bytes())
+        blob[6:10] = (200_000).to_bytes(4, "little")  # header growth_rate
+        ckpt.write_bytes(bytes(blob))
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.zeros(4410))
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        rc = cli.main(["separate", "--ckpt", str(ckpt), "--in", str(mix),
+                       "--out-perc", str(out_p), "--out-harm", str(out_h)])
+        assert rc == 1
+        assert "hpsep: error: header growth_rate 200000" in capsys.readouterr().err
+        assert not out_p.exists() and not out_h.exists()
 
     @pytest.mark.parametrize("command", ["separate", "baseline"])
     def test_silent_input_writes_silence(self, command, tmp_path, capsys):
@@ -384,19 +416,38 @@ class TestCli:
 
     def test_eval_rejects_silent_reference(self, tmp_path, capsys):
         track = np.sin(np.linspace(0.0, 200.0, 4410))
+        assert cli.main(self.eval_args(tmp_path, np.zeros(4410), track)) == 1
+        assert "zero-energy reference" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    @staticmethod
+    def eval_args(tmp_path, drums, other):
+        """Write one reference track with half-mixture estimates; eval arguments."""
         ref_dir, est_dir = tmp_path / "ref" / "t0", tmp_path / "est" / "t0"
         ref_dir.mkdir(parents=True)
         est_dir.mkdir(parents=True)
-        write_wav(ref_dir / "drums.wav", np.zeros(4410))
-        write_wav(ref_dir / "other.wav", track)
-        write_wav(est_dir / "perc.wav", 0.5 * track)
-        write_wav(est_dir / "harm.wav", 0.5 * track)
-        report = tmp_path / "report.csv"
-        assert cli.main(["eval", "--est-dir", str(tmp_path / "est"),
-                         "--ref-dir", str(tmp_path / "ref"),
-                         "--report", str(report)]) == 1
-        assert "zero-energy reference" in capsys.readouterr().err
-        assert not report.exists()
+        write_wav(ref_dir / "drums.wav", drums)
+        write_wav(ref_dir / "other.wav", other)
+        write_wav(est_dir / "perc.wav", 0.5 * (drums + other))
+        write_wav(est_dir / "harm.wav", 0.5 * (drums + other))
+        return ["eval", "--est-dir", str(tmp_path / "est"), "--ref-dir",
+                str(tmp_path / "ref"), "--report", str(tmp_path / "report.csv")]
+
+    def test_eval_scores_constant_reference(self, tmp_path, capsys):
+        track = np.sin(np.linspace(0.0, 200.0, 4410))
+        args = self.eval_args(tmp_path, np.full(4410, 0.25), track)
+        assert cli.main(args) == 0
+        rows = read_report(tmp_path / "report.csv")
+        assert [r["source"] for r in rows] == ["percussive", "harmonic", "average"]
+        for row in rows:
+            assert all(np.isfinite(float(row[k])) for k in ("sdr_db", "sir_db", "sar_db"))
+        capsys.readouterr()
+
+    def test_eval_rejects_two_constant_references(self, tmp_path, capsys):
+        args = self.eval_args(tmp_path, np.full(4410, 0.25), np.full(4410, -0.5))
+        assert cli.main(args) == 1
+        assert "collinear" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_param_count_default_config(self, capsys):
         assert cli.main(["param-count"]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hpsep import tensor as T
-from hpsep.dsp import MagPatch
+from hpsep.dsp import N_BINS, PATCH_FRAMES, stft
 from hpsep.network import MaskSeparator, NetworkConfig, ParamStore, load_checkpoint
 from hpsep.tensor import Tensor
 from hpsep.training import (
@@ -227,8 +227,12 @@ class TestGroundTruth:
     def test_patches_share_framing(self):
         mix, drums = self.track(seconds=2.1, seed=3)
         examples = make_ground_truth(mix, drums)
-        assert len(examples) == 2
-        assert examples[-1].x.pad_frames == examples[-1].p.pad_frames
+        frames = stft(mix).frames
+        assert len(examples) == 2 and PATCH_FRAMES < frames < 2 * PATCH_FRAMES
+        for tile in (examples[-1].x, examples[-1].p, examples[-1].h):
+            assert tile.values.shape == (N_BINS, PATCH_FRAMES)
+            assert np.all(tile.values[:, frames - PATCH_FRAMES:] == 0.0)
+            assert np.any(tile.values[:, : frames - PATCH_FRAMES] > 0.0)
 
 
 class TestSplit:
