@@ -127,8 +127,10 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True, metavar="WAV")
     p.add_argument("--out-perc", required=True, metavar="WAV")
     p.add_argument("--out-harm", required=True, metavar="WAV")
-    p.add_argument("--l-harm", type=int, default=17, help="median length along time")
-    p.add_argument("--l-perc", type=int, default=17, help="median length along frequency")
+    p.add_argument("--l-harm", type=int, default=MedianConfig.l_harm,
+                   help="median length along time")
+    p.add_argument("--l-perc", type=int, default=MedianConfig.l_perc,
+                   help="median length along frequency")
     p.add_argument("--resample-off-ok", action="store_true")
     p.set_defaults(func=_cmd_baseline)
 

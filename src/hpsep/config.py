@@ -5,15 +5,20 @@ ignored. Keys not in the schema are errors (typo protection), as are
 duplicates. Keys left out fall back to the built-in defaults, so a config
 only needs the values it changes.
 
-Two schemas exist: the run config (network architecture + training
-hyperparameters, see RUN_SCHEMA) and the synthesis spec (dataset
-generator knobs, see SYNTH_SCHEMA). The packaged ``default.cfg`` holds
-the shipped run config.
+Each setting is declared once, as a dataclass field: the keys are the
+fields whose default is an int or a float, parsed with the default's
+type. The run config (RUN_SCHEMA) holds those of NetworkConfig and
+TrainConfig, the synthesis spec (SYNTH_SCHEMA) those of SynthSpec. A
+field of another type, such as ``NetworkConfig.branch_kernels``, needs
+a parser before it can be a key. The packaged ``default.cfg`` holds the
+shipped run config.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 from .data import SynthSpec
 from .network import NetworkConfig
@@ -34,43 +39,18 @@ class ConfigError(ValueError):
     """Malformed config text or values."""
 
 
-# key -> (section, type); sections route values to the right dataclass
-RUN_SCHEMA = {
-    "growth_rate": ("network", int),
-    "layers_per_block": ("network", int),
-    "depth": ("network", int),
-    "final_block_layers": ("network", int),
-    "leaky_alpha": ("network", float),
-    "lambda_p": ("training", float),
-    "lambda_h": ("training", float),
-    "lr0": ("training", float),
-    "batch_size": ("training", int),
-    "plateau_patience": ("training", int),
-    "plateau_factor": ("training", float),
-    "stop_patience": ("training", int),
-    "max_epochs": ("training", int),
-    "seed": ("training", int),
-    "val_fraction": ("training", float),
-    "improve_tol": ("training", float),
-}
+def _schema(*classes):
+    """key -> (owning dataclass, type) for each int or float field."""
+    return {
+        f.name: (cls, type(f.default))
+        for cls in classes
+        for f in fields(cls)
+        if type(f.default) in (int, float)
+    }
 
-SYNTH_SCHEMA = {
-    "seed": int,
-    "n_tracks": int,
-    "duration_s": float,
-    "f0_min_hz": float,
-    "f0_max_hz": float,
-    "voices": int,
-    "partials": int,
-    "partial_rolloff": float,
-    "attack_s": float,
-    "release_s": float,
-    "onset_rate_hz": float,
-    "burst_decay_ms": float,
-    "band_emphasis": float,
-    "gain_harm": float,
-    "gain_perc": float,
-}
+
+RUN_SCHEMA = _schema(NetworkConfig, TrainConfig)
+SYNTH_SCHEMA = _schema(SynthSpec)
 
 
 def parse_config_text(text, valid_keys):
@@ -97,13 +77,21 @@ def parse_config_text(text, valid_keys):
     return values
 
 
-def _convert(key, value, target_type):
+def _load(text, schema, classes):
+    """One instance per class in ``classes``, built from config text."""
+    kwargs = {cls: {} for cls in classes}
+    for key, value in parse_config_text(text, schema.keys()).items():
+        cls, target_type = schema[key]
+        try:
+            kwargs[cls][key] = target_type(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"key {key!r}: cannot parse {value!r} as {target_type.__name__}"
+            ) from exc
     try:
-        return target_type(value)
+        return tuple(cls(**kwargs[cls]) for cls in classes)
     except ValueError as exc:
-        raise ConfigError(
-            f"key {key!r}: cannot parse {value!r} as {target_type.__name__}"
-        ) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def default_config_text():
@@ -115,24 +103,11 @@ def load_run_config(path=None):
 
     path=None loads the packaged default.cfg.
     """
-    text = default_config_text() if path is None else open(path).read()
-    raw = parse_config_text(text, RUN_SCHEMA.keys())
-    net_kwargs = {}
-    train_kwargs = {}
-    for key, value in raw.items():
-        section, target_type = RUN_SCHEMA[key]
-        dest = net_kwargs if section == "network" else train_kwargs
-        dest[key] = _convert(key, value, target_type)
-    try:
-        return NetworkConfig(**net_kwargs), TrainConfig(**train_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    text = default_config_text() if path is None else Path(path).read_text()
+    return _load(text, RUN_SCHEMA, (NetworkConfig, TrainConfig))
 
 
 def load_synth_spec(path):
-    raw = parse_config_text(open(path).read(), SYNTH_SCHEMA.keys())
-    kwargs = {k: _convert(k, v, SYNTH_SCHEMA[k]) for k, v in raw.items()}
-    try:
-        return SynthSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """SynthSpec from a synthesis spec file."""
+    (spec,) = _load(Path(path).read_text(), SYNTH_SCHEMA, (SynthSpec,))
+    return spec

@@ -82,10 +82,8 @@ class no_grad:
         return False
 
 
-def _as_float_array(data, dtype=None):
+def _as_float_array(data):
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype == np.float32 or arr.dtype == np.float64:
         return arr
     return arr.astype(np.float64)
@@ -96,8 +94,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_float_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None  # set on recorded op outputs only; leaves have none

@@ -279,6 +279,11 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt",
     train_examples = [e for i in train_idx for e in per_track[i]]
     val_examples = [e for i in val_idx for e in per_track[i]]
     stats = compute_global_stats([e.x for e in train_examples])
+    if not stats.max_val > stats.min_val:
+        raise TrainingError(
+            "training mixtures have no magnitude range (log-magnitude min "
+            f"{stats.min_val}, max {stats.max_val}): a silent corpus cannot be normalized"
+        )
 
     model = MaskSeparator(net_cfg, seed=cfg.seed)
     state = init_train_state(model.store, cfg)

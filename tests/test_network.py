@@ -1,5 +1,8 @@
 """Architecture bookkeeping, gradient flow, and checkpoint format tests."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,23 @@ class TestParamStore:
         assert a.grad is not None and b.grad is not None
         store.zero_grad()
         assert a.grad is None and b.grad is None
+
+    def test_store_on_records_takes_them_without_init(self):
+        w = np.arange(6.0).reshape(2, 3)
+        store = ParamStore({"w": w, "b": np.zeros(2), "mean": np.full(2, 7.0),
+                            "left": np.zeros(1)})
+
+        def init(shape):
+            raise AssertionError("init must not run for a stored parameter")
+
+        np.testing.assert_array_equal(store.make_param("w", (2, 3), init).data, w)
+        running = store.add_buffer("mean", np.zeros(2))
+        np.testing.assert_array_equal(running, [7.0, 7.0])
+        with pytest.raises(ValueError, match=r"shape mismatch for 'b': stored \(2,\)"):
+            store.make_param("b", (3,), init)
+        with pytest.raises(ValueError, match="no record 'c'"):
+            store.make_param("c", (1,), init)
+        assert list(store.records) == ["left"]
 
 
 class TestCompositeLayer:
@@ -352,6 +372,49 @@ class TestNetworkConfig:
             NetworkConfig(branch_kernels=((2, 3),))
 
 
+def _record(name, array):
+    """One float64 checkpoint record."""
+    raw = name.encode("utf-8")
+    return (struct.pack("<H", len(raw)) + raw + struct.pack("<BB", 1, array.ndim)
+            + struct.pack(f"<{array.ndim}I", *array.shape) + array.astype("<f8").tobytes())
+
+
+def _with_u32(blob, offset, value):
+    return blob[:offset] + struct.pack("<I", value) + blob[offset + 4 :]
+
+
+_HEADER_BYTES = 46  # magic, u16 version, four u32 sizes, three f64
+_FIRST = "branch0.enc0.layer0.conv.weight"  # the first record of a default model
+
+
+def _first_record_reshaped(blob, shape):
+    old = len(_record(_FIRST, np.zeros((10, 1, 3, 3))))
+    assert blob[_HEADER_BYTES + 2 : _HEADER_BYTES + 2 + len(_FIRST)] == _FIRST.encode()
+    return blob[:_HEADER_BYTES] + _record(_FIRST, np.zeros(shape)) + blob[_HEADER_BYTES + old :]
+
+
+# Each turns a default-config checkpoint into a file whose header or
+# records ask for far more memory than the file holds.
+HOSTILE = {
+    "depth-400": lambda blob: _with_u32(blob, 14, 400)
+    + _record("branch0.enc399.layer0.conv.weight", np.zeros((10, 1, 3, 3))),
+    "layers-40": lambda blob: _with_u32(blob, 10, 40)
+    + _record("branch0.enc0.layer39.conv.weight", np.zeros((10, 1, 3, 3))),
+    "kernel-1x2001": lambda blob: _first_record_reshaped(blob, (10, 1, 1, 2001)),
+    # a record claiming 16 GiB of payload with none behind it
+    "dims-beyond-file": lambda blob: blob + _record("zz", np.zeros((1, 1)))[:-16]
+    + struct.pack("<II", 65536, 32768),
+}
+
+
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    model = MaskSeparator(NetworkConfig(), seed=0)
+    path = tmp_path_factory.mktemp("default") / "model.ckpt"
+    save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+    return path.read_bytes()
+
+
 class TestCheckpoint:
     def roundtrip_model(self, tmp_path):
         model = MaskSeparator(tiny_cfg(growth_rate=3), seed=21)
@@ -443,6 +506,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=f"header {key} {value}"):
             load_checkpoint(path)
+
+    def test_rejects_record_the_model_does_not_make(self, tmp_path):
+        _, _, path = self.roundtrip_model(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(_record("zz.extra", np.zeros(2)))
+        with pytest.raises(ValueError, match=r"extra=\['zz.extra'\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_file_fails_within_its_size(self, default_checkpoint, tmp_path, case):
+        blob = HOSTILE[case](default_checkpoint)
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(blob)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model, stats, path = self.roundtrip_model(tmp_path)

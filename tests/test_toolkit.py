@@ -9,10 +9,12 @@ from hpsep import cli
 from hpsep.audio_io import AudioError, read_wav, write_wav
 from hpsep.config import (
     ConfigError,
+    default_config_text,
     load_run_config,
     load_synth_spec,
     parse_config_text,
     RUN_SCHEMA,
+    SYNTH_SCHEMA,
 )
 from hpsep.data import (
     SynthSpec,
@@ -24,6 +26,7 @@ from hpsep.data import (
 )
 from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, normalize_values, stft
 from hpsep.network import MaskSeparator, NetworkConfig, save_checkpoint
+from hpsep.training import TrainConfig
 from hpsep.dsp import GlobalStats
 from hpsep.metrics import read_report
 from hpsep.pipeline import estimate_masks, separate_samples
@@ -210,6 +213,47 @@ class TestDatasetIO:
             load_dataset(tmp_path, layout="flac")
 
 
+# The config surface: key -> (owning dataclass, type, a valid non-default
+# value). Float keys take an integer-looking value where one is valid, so
+# an int parser could not pass for a float one.
+RUN_KEYS = {
+    "growth_rate": (NetworkConfig, int, "3"),
+    "layers_per_block": (NetworkConfig, int, "2"),
+    "depth": (NetworkConfig, int, "2"),
+    "final_block_layers": (NetworkConfig, int, "2"),
+    "leaky_alpha": (NetworkConfig, float, "0"),
+    "lambda_p": (TrainConfig, float, "1"),
+    "lambda_h": (TrainConfig, float, "2"),
+    "lr0": (TrainConfig, float, "1"),
+    "batch_size": (TrainConfig, int, "4"),
+    "plateau_patience": (TrainConfig, int, "2"),
+    "plateau_factor": (TrainConfig, float, "0.25"),
+    "stop_patience": (TrainConfig, int, "7"),
+    "max_epochs": (TrainConfig, int, "3"),
+    "seed": (TrainConfig, int, "9"),
+    "val_fraction": (TrainConfig, float, "0.5"),
+    "improve_tol": (TrainConfig, float, "0"),
+}
+
+SYNTH_KEYS = {
+    "seed": (int, "5"),
+    "n_tracks": (int, "2"),
+    "duration_s": (float, "3"),
+    "f0_min_hz": (float, "100"),
+    "f0_max_hz": (float, "600"),
+    "voices": (int, "2"),
+    "partials": (int, "5"),
+    "partial_rolloff": (float, "2"),
+    "attack_s": (float, "0"),
+    "release_s": (float, "1"),
+    "onset_rate_hz": (float, "3"),
+    "burst_decay_ms": (float, "30"),
+    "band_emphasis": (float, "1"),
+    "gain_harm": (float, "2"),
+    "gain_perc": (float, "0"),
+}
+
+
 class TestConfig:
     def test_parse_basics(self):
         text = "# comment\n\n a = 1 \nb=2.5\n"
@@ -262,6 +306,34 @@ class TestConfig:
         spec = load_synth_spec(path)
         assert (spec.n_tracks, spec.duration_s, spec.seed) == (3, 2.0, 4)
         assert spec.partials == SynthSpec().partials
+
+    def test_run_keys_are_pinned(self):
+        assert set(RUN_SCHEMA) == set(RUN_KEYS)
+
+    def test_synth_keys_are_pinned(self):
+        assert set(SYNTH_SCHEMA) == set(SYNTH_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(RUN_KEYS))
+    def test_run_key_reaches_its_dataclass_with_its_type(self, key, tmp_path):
+        owner, target_type, text = RUN_KEYS[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        loaded = dict(zip((NetworkConfig, TrainConfig), load_run_config(path)))
+        value = getattr(loaded[owner], key)
+        assert type(value) is target_type and value == target_type(text)
+        other = TrainConfig if owner is NetworkConfig else NetworkConfig
+        assert loaded[other] == other()
+
+    @pytest.mark.parametrize("key", sorted(SYNTH_KEYS))
+    def test_synth_key_is_parsed_with_its_type(self, key, tmp_path):
+        target_type, text = SYNTH_KEYS[key]
+        path = tmp_path / "synth.cfg"
+        path.write_text(f"{key} = {text}\n")
+        value = getattr(load_synth_spec(path), key)
+        assert type(value) is target_type and value == target_type(text)
+
+    def test_shipped_default_sets_every_run_key(self):
+        assert set(parse_config_text(default_config_text(), RUN_SCHEMA.keys())) == set(RUN_KEYS)
 
 
 def small_checkpoint(tmp_path):
@@ -487,6 +559,21 @@ class TestCli:
         assert lines[0] == "track,source,sdr_db,sir_db,sar_db"
         assert len(lines) == 1 + 2 * 3  # 2 tracks x (percussive, harmonic, average)
         capsys.readouterr()
+
+    def test_train_on_silent_corpus_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        spec_path = tmp_path / "synth.cfg"
+        spec_path.write_text("n_tracks = 2\nduration_s = 1.6\nvoices = 2\npartials = 4\n"
+                             "gain_harm = 0\ngain_perc = 0\n")
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.main(["train", "--data", str(data_dir),
+                       "--config", str(write_run_cfg(tmp_path / "run.cfg")),
+                       "--out", str(ckpt)])
+        assert rc == 1
+        assert "silent corpus cannot be normalized" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not (tmp_path / "model.ckpt.metrics.csv").exists()
 
     def test_baseline_command_and_self_eval_caps(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
