@@ -203,7 +203,7 @@ def compute_global_stats(patches):
 def normalize_values(values, stats):
     """clamp((log1p(v) - min) / (max - min), 0, 1) with the global extrema."""
     span = stats.max_val - stats.min_val
-    if not span > 0.0:
+    if not 0.0 < span < np.inf:
         raise ValueError(
             f"degenerate normalization stats: min={stats.min_val}, max={stats.max_val}"
         )
@@ -226,7 +226,7 @@ def apply_masks(mask_perc, mask_harm, spec):
             raise ValueError(
                 f"{name} mask shape {m.shape} does not match ({N_BINS}, {spec.frames})"
             )
-        if float(m.min()) < 0.0 or float(m.max()) > 1.0:
+        if not np.all((m >= 0.0) & (m <= 1.0)):
             raise ValueError(f"{name} mask values must lie in [0, 1]")
         full = np.vstack([m, m[-1:]])
         masked = dataclasses.replace(spec, values=full * spec.values)

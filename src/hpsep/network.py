@@ -427,10 +427,11 @@ def _read_exact(fh, n, what):
 def load_checkpoint(path, dtype=np.float64):
     """Rebuild a MaskSeparator and its normalization stats from disk.
 
-    Rejects unknown magics and versions. Records are matched as the model
-    is built (see ``ParamStore``), and none may be left over, so a corrupt
-    or hostile file fails with ValueError having allocated about its own
-    size, never a model larger than the file.
+    Rejects unknown magics and versions, non-finite stats and records that
+    hold NaN or Inf. Records are matched as the model is built (see
+    ``ParamStore``), and none may be left over, so a corrupt or hostile
+    file fails with ValueError having allocated about its own size, never
+    a model larger than the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -441,6 +442,8 @@ def load_checkpoint(path, dtype=np.float64):
             raise ValueError(f"unsupported checkpoint version {version}")
         k, layers, depth, final_layers = struct.unpack("<IIII", _read_exact(fh, 16, "config"))
         alpha, stat_min, stat_max = struct.unpack("<ddd", _read_exact(fh, 24, "stats"))
+        if not (math.isfinite(stat_min) and math.isfinite(stat_max)):
+            raise ValueError(f"non-finite normalization stats: min={stat_min}, max={stat_max}")
         arrays = {}
         while True:
             head = fh.read(2)
@@ -462,7 +465,10 @@ def load_checkpoint(path, dtype=np.float64):
             payload = _read_exact(fh, nbytes, f"{name} payload")
             if name in arrays:
                 raise ValueError(f"duplicate record {name!r}")
-            arrays[name] = np.frombuffer(payload, dtype=dt).reshape(dims).astype(dtype)
+            stored = np.frombuffer(payload, dtype=dt).reshape(dims)
+            if not np.isfinite(stored).all():
+                raise ValueError(f"record {name!r} holds non-finite values")
+            arrays[name] = stored.astype(dtype)
 
     kernels = []
     while (w := arrays.get(f"branch{len(kernels)}.enc0.layer0.conv.weight")) is not None:

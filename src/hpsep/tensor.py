@@ -13,11 +13,12 @@ Tensor, and a VJP closure captures only the arrays and ``requires_grad``
 flags it reads, never an input Tensor. So the graph retains exactly what
 backward will read, and an interior output that no later VJP reads (a
 conv output that only feeds a batchnorm, say) is freed as soon as the
-caller drops it. Calling ``backward`` on a scalar walks the graph once
-in reverse topological order and consumes it: only leaves keep a
-gradient, and each node lets go of its links and closure as soon as its
-VJP has run, so the saved arrays are freed during the sweep. A consumed
-graph cannot be swept again.
+caller drops it. Calling ``backward`` on a scalar runs the VJPs under
+it once, in reverse recording order, and consumes the graph. An op is
+recorded after its inputs, so that order is topological. Only leaves
+keep a gradient, and each node lets go of its links and closure as soon
+as its VJP has run, so the saved arrays are freed during the sweep. A
+consumed graph cannot be swept again.
 
 Layout convention: feature maps are channel-major ``(C, H, W)``, with an
 optional leading batch axis ``(N, C, H, W)``. Spatial ops accept either
@@ -42,7 +43,7 @@ fresh ``np.concatenate`` of the parts.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 _grad_enabled = True
+_recorded = count()  # numbers graph nodes; backward reads only their order
 
 
 class no_grad:
@@ -183,13 +185,14 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep seeding d(self)/d(self) = 1; consumes the graph.
 
-        Only valid on scalar outputs. Only leaves receive ``grad``, and
-        theirs accumulate across backward calls on separately built graphs;
-        reset with ``grad = None`` (see ParamStore.zero_grad). Each node
-        drops its links and gradient function right after its VJP runs, so
-        the arrays the graph saved are freed during the sweep even while
-        the caller still holds the output. Sweeping a consumed graph again,
-        or a new graph built on one of its interior tensors, raises
+        Collects the nodes under ``self``, then runs their VJPs in reverse
+        recording order. Only valid on scalar outputs. Only leaves receive
+        ``grad``, and theirs accumulate across backward calls on separately
+        built graphs; reset with ``grad = None`` (see ParamStore.zero_grad).
+        Each node drops its links and gradient function right after its VJP
+        runs, so the arrays the graph saved are freed during the sweep even
+        while the caller still holds the output. Sweeping a consumed graph
+        again, or a new graph built on one of its interior tensors, raises
         ValueError before any leaf gradient changes.
         """
         if self.data.size != 1:
@@ -197,15 +200,27 @@ class Tensor:
         root = _link(self)
         if root is None:
             raise ValueError("output is not connected to any tracked tensor")
-        order = _topo_order(root)
-        grads = {id(root): np.ones_like(self.data)}
-        while order:
-            vertex = order.pop()
-            g = grads.pop(id(vertex))
+        nodes, leaves, seen, stack = [], [], {id(root)}, [root]
+        while stack:
+            vertex = stack.pop()
             if isinstance(vertex, Tensor):
-                vertex.grad = g if vertex.grad is None else vertex.grad + g
+                leaves.append(vertex)
                 continue
-            for parent, pg in zip(vertex.parents, vertex.backward(g)):
+            if vertex.backward is None:
+                raise ValueError(
+                    f"a {vertex.op!r} tensor in this graph was consumed by an earlier backward"
+                )
+            nodes.append(vertex)
+            for parent in vertex.parents:
+                if parent is not None and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        # an op is recorded after its inputs, so later records run first
+        nodes.sort(key=lambda node: node.seq, reverse=True)
+        grads = {id(root): np.ones_like(self.data)}
+        for node in nodes:
+            g = grads.pop(id(node))
+            for parent, pg in zip(node.parents, node.backward(g)):
                 if pg is None or parent is None:
                     continue
                 key = id(parent)
@@ -213,23 +228,28 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-            vertex.parents = ()
-            vertex.backward = None
+            node.parents = ()
+            node.backward = None
+        for leaf in leaves:
+            g = grads.pop(id(leaf))
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 class _Node:
     """The graph vertex of a recorded op's output; it never holds the output.
 
     ``parents`` has one link per op input, aligned with what ``backward``
-    returns (see ``_link``). A consumed node has ``backward`` None.
+    returns (see ``_link``). ``seq`` numbers nodes in recording order. A
+    consumed node has ``backward`` None.
     """
 
-    __slots__ = ("parents", "backward", "op")
+    __slots__ = ("parents", "backward", "op", "seq")
 
     def __init__(self, parents, backward, op):
         self.parents = parents
         self.backward = backward
         self.op = op
+        self.seq = next(_recorded)
 
 
 def _link(t):
@@ -246,44 +266,6 @@ def _from_op(data, parents, backward_fn, op):
     out.grad = None
     out._node = _Node(tuple(_link(p) for p in parents), backward_fn, op)
     return out
-
-
-def _topo_order(root):
-    """Depth-first postorder over the vertices under ``root``; parents precede users.
-
-    A vertex is a ``_Node`` or a tracked leaf Tensor.
-    """
-    GRAY, BLACK = 1, 2
-    order = []
-    state = {id(root): GRAY}
-    stack = [(root, iter(_parents(root)))]
-    while stack:
-        vertex, it = stack[-1]
-        advanced = False
-        for child in it:
-            if child is None:
-                continue
-            s = state.get(id(child))
-            if s == GRAY:
-                raise AssertionError("cycle in autodiff graph")
-            if s is None:
-                state[id(child)] = GRAY
-                stack.append((child, iter(_parents(child))))
-                advanced = True
-                break
-        if not advanced:
-            if isinstance(vertex, _Node) and vertex.backward is None:
-                raise ValueError(
-                    f"a {vertex.op!r} tensor in this graph was consumed by an earlier backward"
-                )
-            stack.pop()
-            state[id(vertex)] = BLACK
-            order.append(vertex)
-    return order
-
-
-def _parents(vertex):
-    return () if isinstance(vertex, Tensor) else vertex.parents
 
 
 def _batched(arr):
@@ -355,14 +337,8 @@ def _shift_add(acc, planes, kh, kw, r0):
 
 
 def _tap_stacks(xb, kh, kw):
-    """Yield (r0, r1, stack): ``_shifted_columns`` of xb, one band at a time.
-
-    A 1x1 kernel has no shift: one band, the input itself as a view.
-    """
-    n, c, h, wd = xb.shape
-    if kh == kw == 1:
-        yield 0, h, xb.reshape(n, c, h * wd)
-        return
+    """Yield (r0, r1, stack): ``_shifted_columns`` of xb, one band at a time."""
+    h = xb.shape[2]
     ph, pw = kh // 2, kw // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     for r0, r1 in _bands(h, kh * kw):
@@ -373,13 +349,10 @@ def _gemm_shift_add(a, xb, kh, kw):
     """``_shift_add`` of the per-tap planes ``a @ xb``, one band of rows at a time.
 
     a: (C*kh*kw, C_x) with rows ordered (c, i, j). Bands run bottom-up, so
-    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W); a
-    1x1 kernel makes it the plain GEMM.
+    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W).
     """
-    n, c_x, h, wd = xb.shape
+    n, _, h, wd = xb.shape
     taps = kh * kw
-    if taps == 1:
-        return (a @ xb.reshape(n, c_x, h * wd)).reshape(n, -1, h, wd)
     ph, pw = kh // 2, kw // 2
     acc = np.zeros((n, a.shape[0] // taps, h + 2 * ph, wd + 2 * pw),
                    dtype=np.result_type(a, xb))
@@ -410,8 +383,7 @@ def conv2d(x, weight, bias):
     narrow side, plus its zero-padded map. Stacked bands GEMM straight
     into their rows of the output or dx; shift-add bands run bottom-up.
     The output and dx are bit-identical to whole-map stacks; dw is summed
-    over bands, which reorders its float sum. A 1x1 kernel makes every
-    product a plain GEMM.
+    over bands, which reorders its float sum.
     """
     xb, was3d = _batched(x.data)
     w = weight.data

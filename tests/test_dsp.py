@@ -184,6 +184,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_values(np.ones(4), GlobalStats(0.5, 0.5))
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)])
+    def test_non_finite_stats_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="degenerate normalization stats"):
+            normalize_values(np.ones(4), GlobalStats(lo, hi))
+
     def test_stats_from_corpus(self, rng):
         zeros = MagPatch(np.zeros((N_BINS, PATCH_FRAMES)))
         stats = compute_global_stats([zeros])
@@ -245,6 +250,14 @@ class TestApplyMasks:
             apply_masks(bad, good, spec)
         with pytest.raises(ValueError):
             apply_masks(good, -bad, spec)
+
+    def test_nan_mask_rejected(self, rng):
+        spec = stft(self.make_mix(rng, WIN_LENGTH * 4), SR)
+        good = np.full((N_BINS, spec.frames), 0.5)
+        with pytest.raises(ValueError, match=r"percussive mask values must lie in \[0, 1\]"):
+            apply_masks(np.full_like(good, np.nan), good, spec)
+        with pytest.raises(ValueError, match=r"harmonic mask values must lie in \[0, 1\]"):
+            apply_masks(good, np.where(good > 0, np.nan, good), spec)
 
     def test_mask_shape_enforced(self, rng):
         spec = stft(self.make_mix(rng, WIN_LENGTH * 4), SR)

@@ -514,6 +514,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"extra=\['zz.extra'\]"):
             load_checkpoint(path)
 
+    # the f64 stats min and max follow the magic, version, sizes and alpha
+    @pytest.mark.parametrize("offset, value", [(30, -np.inf), (38, np.inf), (38, np.nan)])
+    def test_rejects_non_finite_stats(self, tmp_path, offset, value):
+        _, _, path = self.roundtrip_model(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite normalization stats"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_record_by_name(self, tmp_path, value):
+        model = MaskSeparator(tiny_cfg(), seed=26)
+        model.store.params["head_perc.bias"].data[0] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        with pytest.raises(ValueError, match="'head_perc.bias' holds non-finite"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_hostile_file_fails_within_its_size(self, default_checkpoint, tmp_path, case):
         blob = HOSTILE[case](default_checkpoint)

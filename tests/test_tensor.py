@@ -136,6 +136,28 @@ class TestTapeConsumption:
         np.testing.assert_array_equal(b.grad, gb)
 
 
+class TestSweepOrder:
+    def test_vjps_run_in_reverse_recording_order(self):
+        # b is recorded before c but is d's second input, so a depth-first
+        # postorder over d's inputs would run b's VJP before c's
+        calls = []
+
+        def op(name, data, parents, vjp):
+            def fn(g):
+                calls.append(name)
+                return vjp(g)
+            return T._record(np.asarray(data), parents, fn, name)
+
+        a = tens(2.0, grad=True)
+        b = op("b", 2.0 * a.data, (a,), lambda g: (2.0 * g,))
+        c = op("c", 3.0 * a.data, (a,), lambda g: (3.0 * g,))
+        bd, cd = b.data, c.data
+        d = op("d", cd * bd, (c, b), lambda g: (g * bd, g * cd))
+        d.backward()
+        assert calls == ["d", "c", "b"]
+        np.testing.assert_allclose(a.grad, 24.0)  # d = 6 a^2
+
+
 def graph_contents(root):
     """(node links, Tensors captured by VJP closures) reachable from ``root``."""
     links, captured, seen = [], [], set()

@@ -1,5 +1,7 @@
 """WAV I/O, synthesis, config parsing, dataset plumbing, and CLI tests."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -435,6 +437,30 @@ class TestCli:
         assert rc == 1
         assert "hpsep: error: header growth_rate 200000" in capsys.readouterr().err
         assert not out_p.exists() and not out_h.exists()
+
+    def separate_with(self, tmp_path, ckpt):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.random.default_rng(5).normal(size=4410) * 0.1)
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        rc = cli.main(["separate", "--ckpt", str(ckpt), "--in", str(mix),
+                       "--out-perc", str(out_p), "--out-harm", str(out_h)])
+        assert not out_p.exists() and not out_h.exists()
+        return rc
+
+    def test_separate_rejects_non_finite_checkpoint_stats(self, tmp_path, capsys):
+        _, _, ckpt = small_checkpoint(tmp_path)
+        blob = bytearray(ckpt.read_bytes())
+        blob[30:38] = struct.pack("<d", -np.inf)  # header stats min
+        ckpt.write_bytes(bytes(blob))
+        assert self.separate_with(tmp_path, ckpt) == 1
+        assert "hpsep: error: non-finite normalization stats: min=-inf" in capsys.readouterr().err
+
+    def test_separate_names_non_finite_checkpoint_record(self, tmp_path, capsys):
+        model, stats, ckpt = small_checkpoint(tmp_path)
+        model.store.params["head_perc.bias"].data[0] = np.nan
+        save_checkpoint(ckpt, model.cfg, stats, model.store)
+        assert self.separate_with(tmp_path, ckpt) == 1
+        assert "hpsep: error: record 'head_perc.bias'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["separate", "baseline"])
     def test_silent_input_writes_silence(self, command, tmp_path, capsys):
