@@ -35,6 +35,14 @@ C_out < C_in the forward pass is kn2row (GEMMs into per-tap planes, then
 a shift-add; Vasudevan et al. 2017, arXiv:1704.04428), which works band
 by band as well (Anderson et al. 2017, arXiv:1709.03395).
 
+The padded maps are flat: each channel is its H*W values in row-major
+order with kh // 2 zero rows above and below and kw // 2 zero values at
+each end, (H + kh - 1)*W + kw - 1 in all. Tap (i, j) of the band that
+starts at row r0 is then one contiguous slice at offset (r0 + i)*W + j.
+A tap off the centre column reads |j - kw // 2| columns of each row from
+the neighbouring row; those columns are zeroed in the tap stack or in the
+plane before it is added, and a shift of W or more zeroes the whole tap.
+
 ``concat_prefix`` records every channel concatenation: when the parts
 already sit side by side at the start of one buffer, their concatenation
 is a view of that buffer. ``concat_channels`` is ``concat_prefix`` over a
@@ -51,6 +59,7 @@ __all__ = [
     "Tensor",
     "RunningStats",
     "no_grad",
+    "is_grad_enabled",
     "conv2d",
     "transposed_conv2",
     "maxpool2",
@@ -82,6 +91,11 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+def is_grad_enabled():
+    """Whether ops record graph nodes (False inside ``no_grad``)."""
+    return _grad_enabled
 
 
 def _as_float_array(data):
@@ -301,64 +315,95 @@ def _rows(arr, r0, r1):
     return arr[:, :, r0:r1].reshape(n, c, (r1 - r0) * wd)
 
 
-def _shifted_columns(xp, kh, kw, r0, r1):
-    """Stack every kernel-tap shift of output rows r0:r1, read from a padded map.
+def _flat_padded(xb, kh, kw):
+    """(N, C, H, W) as row-major flat channels, padded for a kh x kw kernel.
 
-    xp is the (N, C, H + kh - 1, W + kw - 1) zero-padded map. Returns
-    (N, C*kh*kw, (r1 - r0)*W): row (c, i, j) holds the input shifted so that
-    tap (i, j) of a same-padded correlation reads it at output rows r0:r1.
+    Each channel is H*W values with kh // 2 zero rows above and below and
+    kw // 2 zero slack values at each end: (N, C, (H + kh - 1)*W + kw - 1).
+    """
+    n, c, h, wd = xb.shape
+    start = (kh // 2) * wd + kw // 2
+    xp = np.zeros((n, c, (h + kh - 1) * wd + kw - 1), dtype=xb.dtype)
+    xp[:, :, start : start + h * wd] = _rows(xb, 0, h)
+    return xp
+
+
+def _wrapped(j, kw, wd):
+    """The columns of an output row whose tap at kernel column j wraps a row.
+
+    The flat slice of tap column j reads each row shifted by j - kw // 2;
+    that many columns at one edge read the neighbouring row instead of
+    padding. A shift of W or more wraps every column.
+    """
+    s = j - kw // 2
+    return slice(0, -s) if s < 0 else slice(max(wd - s, 0), wd)
+
+
+def _shifted_columns(xp, wd, kh, kw, r0, r1):
+    """Stack every kernel-tap shift of output rows r0:r1, read from a flat padded map.
+
+    xp is the ``_flat_padded`` map of a W-wide input. Returns (N, C*kh*kw,
+    (r1 - r0)*W): row (c, i, j) holds the input shifted so that tap (i, j)
+    of a same-padded correlation reads it at output rows r0:r1. That is the
+    contiguous slice of xp at offset (r0 + i)*W + j, with its wrapped
+    columns zeroed.
     """
     n, c = xp.shape[:2]
-    wd = xp.shape[3] - (kw - 1)
-    cols = np.empty((n, c, kh, kw, r1 - r0, wd), dtype=xp.dtype)
+    rows = r1 - r0
+    cols = np.empty((n, c, kh, kw, rows, wd), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, r0 + i : r1 + i, j : j + wd]
-    return cols.reshape(n, c * kh * kw, (r1 - r0) * wd)
+            start = (r0 + i) * wd + j
+            cols[:, :, i, j] = xp[:, :, start : start + rows * wd].reshape(n, c, rows, wd)
+            cols[:, :, i, j, :, _wrapped(j, kw, wd)] = 0.0
+    return cols.reshape(n, c * kh * kw, rows * wd)
 
 
-def _shift_add(acc, planes, kh, kw, r0):
+def _shift_add(acc, planes, wd, kh, kw, r0):
     """Adjoint of ``_shifted_columns``: add per-tap planes of rows r0.. into acc.
 
-    acc: the (N, C, H + kh - 1, W + kw - 1) padded accumulator. planes:
-    (N, C*kh*kw, rows*W) with rows ordered (c, i, j), computed from map rows
-    r0:r0 + rows. Plane (c, i, j) is shifted the opposite way to tap (i, j)
-    of ``_shifted_columns`` and added into channel c; what lands in the
-    padding is dropped with it. Bands added bottom-up, each in (i, j) order,
-    give every element its taps in (i, j) order, as one whole-map pass does.
+    acc: a flat padded accumulator laid out as ``_flat_padded`` for a W-wide
+    map. planes: (N, C*kh*kw, rows*W) with rows ordered (c, i, j), computed
+    from map rows r0:r0 + rows. Plane (c, i, j) has its wrapped columns
+    zeroed (in place) and is added into channel c at offset (r0 + i)*W + j,
+    the opposite shift to tap (i, j) of ``_shifted_columns``; what lands in
+    the padding is dropped with it. Bands added bottom-up, each in (i, j)
+    order, give every element its taps in (i, j) order, as one whole-map
+    pass does.
     """
-    n, c, _, wp = acc.shape
-    wd = wp - (kw - 1)
+    n, c, _ = acc.shape
     rows = planes.shape[2] // wd
     p = planes.reshape(n, c, kh, kw, rows, wd)
     for i in range(kh):
         for j in range(kw):
-            acc[:, :, r0 + i : r0 + i + rows, j : j + wd] += p[:, :, i, j]
+            start = (r0 + i) * wd + j
+            p[:, :, i, j, :, _wrapped(j, kw, wd)] = 0.0
+            acc[:, :, start : start + rows * wd] += p[:, :, i, j].reshape(n, c, rows * wd)
 
 
 def _tap_stacks(xb, kh, kw):
     """Yield (r0, r1, stack): ``_shifted_columns`` of xb, one band at a time."""
-    h = xb.shape[2]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    for r0, r1 in _bands(h, kh * kw):
-        yield r0, r1, _shifted_columns(xp, kh, kw, r0, r1)
+    wd = xb.shape[3]
+    xp = _flat_padded(xb, kh, kw)
+    for r0, r1 in _bands(xb.shape[2], kh * kw):
+        yield r0, r1, _shifted_columns(xp, wd, kh, kw, r0, r1)
 
 
 def _gemm_shift_add(a, xb, kh, kw):
     """``_shift_add`` of the per-tap planes ``a @ xb``, one band of rows at a time.
 
     a: (C*kh*kw, C_x) with rows ordered (c, i, j). Bands run bottom-up, so
-    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W).
+    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W), a
+    view of the flat padded accumulator.
     """
     n, _, h, wd = xb.shape
     taps = kh * kw
-    ph, pw = kh // 2, kw // 2
-    acc = np.zeros((n, a.shape[0] // taps, h + 2 * ph, wd + 2 * pw),
-                   dtype=np.result_type(a, xb))
+    c = a.shape[0] // taps
+    acc = np.zeros((n, c, (h + kh - 1) * wd + kw - 1), dtype=np.result_type(a, xb))
     for r0, r1 in reversed(_bands(h, taps)):
-        _shift_add(acc, a @ _rows(xb, r0, r1), kh, kw, r0)
-    return acc[:, :, ph : ph + h, pw : pw + wd]
+        _shift_add(acc, a @ _rows(xb, r0, r1), wd, kh, kw, r0)
+    start = (kh // 2) * wd + kw // 2
+    return acc[:, :, start : start + h * wd].reshape(n, c, h, wd)
 
 
 def conv2d(x, weight, bias):
@@ -382,8 +427,12 @@ def conv2d(x, weight, bias):
     a time, so no product holds more than about one extra copy of the
     narrow side, plus its zero-padded map. Stacked bands GEMM straight
     into their rows of the output or dx; shift-add bands run bottom-up.
-    The output and dx are bit-identical to whole-map stacks; dw is summed
-    over bands, which reorders its float sum.
+    The padded maps and accumulators are flat (see the module docstring):
+    every tap is one contiguous slice, with the columns that wrap into a
+    neighbouring row zeroed. The output and dx are bit-identical to
+    whole-map stacks on 2-D padded maps; dw is summed over bands, which
+    reorders its float sum. A kn2row output or dx is a view of its flat
+    accumulator, so its channel stride is the padded length, not H*W.
     """
     xb, was3d = _batched(x.data)
     w = weight.data

@@ -90,6 +90,81 @@ class TestCompositeLayer:
                            activation="tanh")
 
 
+def randomize_bn(store, seed):
+    """Move every batchnorm's running stats, gamma and beta off their init."""
+    gen = np.random.default_rng(seed)
+    for name, arr in store.buffers.items():
+        arr[...] = (gen.normal(0.0, 0.5, arr.shape) if name.endswith("running_mean")
+                    else gen.uniform(0.5, 2.0, arr.shape))
+    for name, p in store.params.items():
+        if name.endswith("bn.gamma"):
+            p.data[...] = gen.uniform(0.5, 1.5, p.shape)
+        elif name.endswith("bn.beta"):
+            p.data[...] = gen.normal(0.0, 0.1, p.shape)
+
+
+class TestFoldedInference:
+    """Under ``no_grad``, inference folds batchnorm into the conv (see CompositeLayer)."""
+
+    FOLD_RTOL = 1e-12
+
+    def assert_masks_match_recorded(self, model, x, frozen=False):
+        with T.no_grad():
+            folded = model.forward(x, training=False)
+        if frozen:
+            # no parameter is tracked, so the unfolded ops record nothing and
+            # the default model's graph (about 0.5 GB) is never held
+            for p in model.store.params.values():
+                p.requires_grad = False
+        recorded = model.forward(x, training=False)
+        assert frozen or recorded[0]._node is not None
+        for got, want in zip(folded, recorded):
+            assert got.dtype == want.dtype
+            np.testing.assert_allclose(got.data, want.data, rtol=self.FOLD_RTOL, atol=0.0)
+
+    def test_tiny_model_matches_recorded_eval_path(self):
+        model = MaskSeparator(tiny_cfg(), seed=31)
+        randomize_bn(model.store, 31)
+        x = np.abs(np.random.default_rng(31).normal(size=(2, 1, 16, 32)))
+        self.assert_masks_match_recorded(model, x)
+
+    def test_default_model_matches_on_a_full_tile(self):
+        model = MaskSeparator(NetworkConfig(), seed=32)
+        randomize_bn(model.store, 32)
+        x = np.random.default_rng(32).random((1, 1, 512, 128))
+        self.assert_masks_match_recorded(model, x, frozen=True)
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layer_writes_into_out(self, activation, dtype):
+        store = ParamStore()
+        layer = CompositeLayer(store, "c", 3, 4, (3, 3), rng(33), dtype,
+                               activation=activation, alpha=0.2)
+        randomize_bn(store, 33)
+        x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 8, 6)).astype(dtype))
+        want = layer.forward(x, False)
+        assert want._node is not None
+        buf = np.full((2, 7, 8, 6), np.nan, dtype=dtype)
+        with T.no_grad():
+            got = layer.forward(x, False, out=buf[:, 2:6])
+            alone = layer.forward(x, False)
+        assert got.data.base is buf and got.dtype == dtype and alone.dtype == dtype
+        assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 6:]).all()
+        assert (want.data < 0).any() == (activation == "leaky_relu")
+        rtol = self.FOLD_RTOL if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(got.data, want.data, rtol=rtol, atol=rtol)
+        np.testing.assert_array_equal(alone.data, got.data)
+
+    def test_training_mode_does_not_fold(self):
+        model = MaskSeparator(tiny_cfg(), seed=35)
+        x = np.abs(np.random.default_rng(35).normal(size=(2, 1, 16, 16)))
+        with T.no_grad():
+            got = model.forward(x, training=True)
+        want = MaskSeparator(tiny_cfg(), seed=35).forward(x, training=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.data, w.data)
+
+
 class TestDenseBlock:
     def test_connection_count_is_quadratic_in_depth(self):
         # a plain chain of 4 layers has 4 connections; dense wiring has 10
@@ -383,6 +458,12 @@ def _with_u32(blob, offset, value):
     return blob[:offset] + struct.pack("<I", value) + blob[offset + 4 :]
 
 
+def _with_first_value(blob, name, value):
+    """``blob`` with the first value of the rank-1 float64 record ``name`` set."""
+    at = blob.index(name.encode("utf-8")) + len(name) + 6  # u8 tag, u8 rank, u32 dim
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+
+
 _HEADER_BYTES = 46  # magic, u16 version, four u32 sizes, three f64
 _FIRST = "branch0.enc0.layer0.conv.weight"  # the first record of a default model
 
@@ -527,11 +608,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_record_by_name(self, tmp_path, value):
         model = MaskSeparator(tiny_cfg(), seed=26)
-        model.store.params["head_perc.bias"].data[0] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        # save_checkpoint refuses such state, so the bytes are set on disk
+        path.write_bytes(_with_first_value(path.read_bytes(), "head_perc.bias", value))
         with pytest.raises(ValueError, match="'head_perc.bias' holds non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("head_perc.bias", np.nan),
+                                             ("branch0.enc0.layer0.bn.running_var", np.inf)])
+    def test_save_refuses_non_finite_record_by_name(self, tmp_path, name, value):
+        model, stats, path = self.roundtrip_model(tmp_path)
+        before = path.read_bytes()
+        arrays = {n: t.data for n, t in model.store.params.items()} | model.store.buffers
+        arrays[name].flat[0] = value
+        with pytest.raises(ValueError, match=f"record '{name}' holds non-finite values"):
+            save_checkpoint(path, model.cfg, stats, model.store)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_save_refuses_non_finite_stats(self, tmp_path):
+        model, _, path = self.roundtrip_model(tmp_path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite normalization stats: min=0.0, max=inf"):
+            save_checkpoint(path, model.cfg, GlobalStats(0.0, np.inf), model.store)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_hostile_file_fails_within_its_size(self, default_checkpoint, tmp_path, case):
