@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .dsp import N_BINS, apply_masks, stft
 
-__all__ = ["MedianConfig", "median_filter_1d", "median_hpss", "median_separate"]
+__all__ = ["MedianConfig", "median_hpss", "median_separate"]
 
 
 @dataclass
@@ -46,14 +46,6 @@ class MedianConfig:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.eps < 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-
-
-def median_filter_1d(values, length):
-    """Sliding median of odd window ``length``; edges handled by reflection."""
-    values = np.asarray(values)
-    if length < 1 or length % 2 == 0:
-        raise ValueError(f"filter length must be odd and >= 1, got {length}")
-    return ndimage.median_filter(values, size=length, mode="reflect")
 
 
 def median_hpss(mag, cfg=None):

@@ -189,25 +189,16 @@ class _BatchNorm:
         return T.batchnorm(x, self.gamma, self.beta, self.state, training)
 
 
-def _folds(training):
-    """Whether layers run folded: inference with no graph being recorded."""
-    return not training and not T.is_grad_enabled()
-
-
 class CompositeLayer:
     """conv -> batchnorm -> activation, the unit every block is made of.
 
-    In inference mode with no graph being recorded (``T.no_grad``), the
-    layer runs folded: batchnorm's running statistics are folded into the
-    conv weight and bias (Jacob et al. 2018, arXiv:1712.05877), so one
-    ``conv2d`` gives the normalized map, and the activation is written
-    straight into ``out`` (or over the conv output) with ``np.maximum``.
-    The masks match the recorded conv -> batchnorm -> activation ops within
-    roundoff (about 1e-15 relative in float64). Unlike the recorded
-    ``np.where`` activations, ``np.maximum`` passes a NaN through rather
-    than zeroing it; ``write_wav`` refuses non-finite output. Inference
-    with gradients on (eval mode inside a recorded graph) keeps the three
-    recorded ops.
+    In training the three ops are recorded. In inference (``training``
+    False) the layer runs folded: batchnorm's running statistics are folded
+    into the conv weight and bias (Jacob et al. 2018, arXiv:1712.05877), so
+    one ``conv2d`` gives the normalized map. The masks match the unfolded
+    conv -> batchnorm within roundoff (about 1e-15 relative in float64).
+    Both modes write the activation with the same op, straight into ``out``
+    when it is given.
     """
 
     def __init__(self, store, name, c_in, c_out, kernel, rng, dtype,
@@ -223,22 +214,18 @@ class CompositeLayer:
 
     def forward(self, x, training, out=None):
         """The layer's activation, written into the array ``out`` if given."""
-        if _folds(training):
-            return Tensor(self._folded(x, out))
-        h = self.bn(self.conv(x), training)
+        h = self.bn(self.conv(x), training) if training else self._folded(x)
         if self.activation == "relu":
             return T.relu(h, out=out)
         return T.leaky_relu(h, self.alpha, out=out)
 
-    def _folded(self, x, out):
-        """conv -> inference batchnorm -> activation as one conv, into ``out``."""
+    def _folded(self, x):
+        """conv -> inference batchnorm as one conv."""
         bn = self.bn
         scale = bn.gamma.data / np.sqrt(bn.state.var + bn.state.eps)
         weight = self.conv.weight.data * scale[:, None, None, None]
         bias = (self.conv.bias.data - bn.state.mean) * scale + bn.beta.data
-        h = T.conv2d(x, Tensor(weight), Tensor(bias)).data
-        floor = 0.0 if self.activation == "relu" else self.alpha * h
-        return np.maximum(h, floor, out=h if out is None else out)
+        return T.conv2d(x, Tensor(weight), Tensor(bias))
 
 
 class DenseBlock:
@@ -278,12 +265,11 @@ class DenseBlock:
         c, k = self.in_channels, self.out_channels
         last = len(self.layers) - 1
         x = parts[0].data
-        # a folded block's output outlives the buffer, so it is allocated
-        # first and sits below it on the heap; allocated after it, it raised
-        # the peak RSS of a default-model tile inference from 141 to 161 MB
-        # (glibc). A recorded last layer makes its own output, uncopied.
+        # the block output outlives the buffer, so it is allocated first and
+        # sits below it on the heap; allocated after it, it raised the peak
+        # RSS of a default-model tile inference from 141 to 161 MB (glibc)
         lead, spatial = x.shape[:-3], x.shape[-2:]
-        res = np.empty(lead + (k,) + spatial, dtype=x.dtype) if _folds(training) else None
+        res = np.empty(lead + (k,) + spatial, dtype=x.dtype)
         buf = np.empty(lead + (c + last * k,) + spatial, dtype=x.dtype)
         np.concatenate([p.data for p in parts], axis=-3, out=buf[..., :c, :, :])
         feats = list(parts)
@@ -349,6 +335,7 @@ class MaskSeparator:
 
     def __init__(self, cfg=None, seed=0, dtype=np.float64, records=None):
         self.cfg = cfg or NetworkConfig()
+        self.dtype = np.dtype(dtype)
         self.store = ParamStore(records)
         rng = np.random.Generator(np.random.PCG64(seed))
         k = self.cfg.growth_rate
@@ -365,7 +352,18 @@ class MaskSeparator:
         self.head_harm = _Conv(self.store, "head_harm", k, 1, (1, 1), rng, dtype)
 
     def forward(self, x, training=False):
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        """The (percussive, harmonic) masks of ``x``, which has the model's dtype.
+
+        ``training`` is the one mode switch. Training records the graph and
+        normalizes with batch statistics. Inference records nothing, even
+        with gradients on, and runs every layer folded (see
+        ``CompositeLayer``).
+        """
+        if not isinstance(x, Tensor):
+            x = Tensor(x)
+        data = x.data
+        if data.dtype != self.dtype:
+            raise ValueError(f"input is {data.dtype}, the model is {self.dtype}")
         if data.ndim not in (3, 4):
             raise ValueError(f"expected (1, H, W) or (N, 1, H, W), got shape {data.shape}")
         if data.shape[-3] != 1:
@@ -377,13 +375,10 @@ class MaskSeparator:
                 f"spatial dims must be divisible by {scale} for depth "
                 f"{self.cfg.depth}, got {h}x{w}"
             )
-        if not isinstance(x, Tensor):
-            x = Tensor(data)
-        outs = [branch.forward(x, training) for branch in self.branches]
-        fused = self.fuse.forward(outs, training)
-        mask_p = T.sigmoid(self.head_perc(fused))
-        mask_h = T.sigmoid(self.head_harm(fused))
-        return mask_p, mask_h
+        with contextlib.nullcontext() if training else T.no_grad():
+            outs = [branch.forward(x, training) for branch in self.branches]
+            fused = self.fuse.forward(outs, training)
+            return T.sigmoid(self.head_perc(fused)), T.sigmoid(self.head_harm(fused))
 
 
 # -- checkpoint serialization ------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .dsp import (
     N_BINS,
     apply_masks,
@@ -31,12 +30,11 @@ def estimate_masks(model, stats, spec, batch_size=4):
     tiles = [p.values for p in patchify(spec.magnitude()[:N_BINS])]
     masks_p = []
     masks_h = []
-    with T.no_grad():
-        for lo in range(0, len(tiles), batch_size):
-            xn = normalize_values(np.stack(tiles[lo : lo + batch_size]), stats)[:, None]
-            mp, mh = model.forward(Tensor(xn), training=False)
-            masks_p.extend(mp.data[:, 0])
-            masks_h.extend(mh.data[:, 0])
+    for lo in range(0, len(tiles), batch_size):
+        xn = normalize_values(np.stack(tiles[lo : lo + batch_size]), stats)[:, None]
+        mp, mh = model.forward(Tensor(xn), training=False)
+        masks_p.extend(mp.data[:, 0])
+        masks_h.extend(mh.data[:, 0])
     return depatchify(masks_p, spec.frames), depatchify(masks_h, spec.frames)
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "Tensor",
     "RunningStats",
     "no_grad",
-    "is_grad_enabled",
     "conv2d",
     "transposed_conv2",
     "maxpool2",
@@ -91,11 +90,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def is_grad_enabled():
-    """Whether ops record graph nodes (False inside ``no_grad``)."""
-    return _grad_enabled
 
 
 def _as_float_array(data):
@@ -663,42 +657,35 @@ def batchnorm(x, gamma, beta, state, training):
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def _into(out, values):
-    """``values`` copied into the array ``out``, or ``values`` itself if there is none."""
-    if out is None:
-        return values
-    if out.shape != values.shape or out.dtype != values.dtype:
-        raise ValueError(
-            f"out is {out.dtype} {out.shape}, result is {values.dtype} {values.shape}"
-        )
-    out[...] = values
-    return out
-
-
 def relu(x, out=None):
-    """``np.where(x > 0, x, 0)``.
+    """``max(x, 0)``, written into ``out`` when it is given.
 
-    The values are written into ``out`` when it is given (an array of the
-    input's shape and dtype, for instance a channel slice of a dense
-    block's feature buffer), and the result Tensor's data is that array.
+    ``out`` is an array of the input's shape and dtype, for instance a
+    channel slice of a dense block's feature buffer, and the result
+    Tensor's data is then that array. ``np.maximum`` passes a NaN through
+    (``np.where(x > 0, x, 0)`` would give 0); its gradient is 0.
     """
     mask = x.data > 0
 
     def fn(g):
         return (g * mask,)
 
-    return _record(_into(out, np.where(mask, x.data, 0.0)), (x,), fn, "relu")
+    return _record(np.maximum(x.data, 0.0, out=out), (x,), fn, "relu")
 
 
 def leaky_relu(x, alpha=0.01, out=None):
-    """``np.where(x > 0, x, alpha * x)``; ``out`` as for ``relu``."""
+    """``max(x, alpha * x)``, which is leaky ReLU for 0 <= alpha < 1 only.
+
+    ``out`` as for ``relu``; a NaN passes through here too.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"leaky_relu needs 0 <= alpha < 1, got {alpha}")
     mask = x.data > 0
 
     def fn(g):
         return (np.where(mask, g, g * alpha),)
 
-    values = np.where(mask, x.data, alpha * x.data)
-    return _record(_into(out, values), (x,), fn, "leaky_relu")
+    return _record(np.maximum(x.data, alpha * x.data, out=out), (x,), fn, "leaky_relu")
 
 
 def sigmoid(x):

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .dsp import (
     N_BINS,
     MagPatch,
@@ -250,13 +249,12 @@ def _batch_arrays(examples, stats):
 def _epoch_loss(model, examples, stats, cfg, batch_size):
     """Mean per-element loss over a fixed example list, no gradients."""
     total = 0.0
-    with T.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo : lo + batch_size]
-            xn, xr, pr, hr = _batch_arrays(chunk, stats)
-            mp, mh = model.forward(Tensor(xn), training=False)
-            val = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h).item()
-            total += val * len(chunk)
+    for lo in range(0, len(examples), batch_size):
+        chunk = examples[lo : lo + batch_size]
+        xn, xr, pr, hr = _batch_arrays(chunk, stats)
+        mp, mh = model.forward(Tensor(xn), training=False)
+        val = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h).item()
+        total += val * len(chunk)
     return total / len(examples)
 
 

@@ -1,45 +1,12 @@
 import numpy as np
 import pytest
 
-from hpsep.baseline import MedianConfig, median_filter_1d, median_hpss, median_separate
+from hpsep.baseline import MedianConfig, median_hpss, median_separate
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(5150)
-
-
-class TestMedianFilter1d:
-    def test_monotone_sequence_unchanged(self):
-        np.testing.assert_array_equal(
-            median_filter_1d(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 3),
-            [1.0, 2.0, 3.0, 4.0, 5.0],
-        )
-
-    def test_removes_isolated_spike(self):
-        x = np.array([0.0, 0.0, 9.0, 0.0, 0.0])
-        np.testing.assert_array_equal(median_filter_1d(x, 3), np.zeros(5))
-
-    def test_constant_preserved(self):
-        np.testing.assert_array_equal(median_filter_1d(np.full(10, 4.0), 5), np.full(10, 4.0))
-
-    def test_length_one_is_identity(self, rng):
-        x = rng.random(20)
-        np.testing.assert_array_equal(median_filter_1d(x, 1), x)
-
-    def test_reflect_edges(self):
-        # window at index 0 sees [x0, x0, x1] under reflection
-        x = np.array([5.0, 1.0, 1.0, 1.0])
-        out = median_filter_1d(x, 3)
-        assert out[0] == 5.0
-
-    def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            median_filter_1d(np.zeros(8), 4)
-
-    def test_output_length_preserved(self, rng):
-        x = rng.random(101)
-        assert median_filter_1d(x, 17).shape == x.shape
 
 
 class TestMedianHpss:

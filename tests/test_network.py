@@ -104,35 +104,34 @@ def randomize_bn(store, seed):
 
 
 class TestFoldedInference:
-    """Under ``no_grad``, inference folds batchnorm into the conv (see CompositeLayer)."""
+    """Inference folds batchnorm into the conv (see CompositeLayer).
+
+    The reference is the same model with ``_folded`` replaced by the unfolded
+    conv -> inference batchnorm, ahead of the same activation op.
+    """
 
     FOLD_RTOL = 1e-12
 
-    def assert_masks_match_recorded(self, model, x, frozen=False):
-        with T.no_grad():
-            folded = model.forward(x, training=False)
-        if frozen:
-            # no parameter is tracked, so the unfolded ops record nothing and
-            # the default model's graph (about 0.5 GB) is never held
-            for p in model.store.params.values():
-                p.requires_grad = False
-        recorded = model.forward(x, training=False)
-        assert frozen or recorded[0]._node is not None
-        for got, want in zip(folded, recorded):
+    def assert_masks_match_unfolded(self, model, x, monkeypatch):
+        folded = model.forward(x, training=False)
+        with monkeypatch.context() as m:
+            m.setattr(CompositeLayer, "_folded", lambda self, x: self.bn(self.conv(x), False))
+            unfolded = model.forward(x, training=False)
+        for got, want in zip(folded, unfolded):
             assert got.dtype == want.dtype
             np.testing.assert_allclose(got.data, want.data, rtol=self.FOLD_RTOL, atol=0.0)
 
-    def test_tiny_model_matches_recorded_eval_path(self):
+    def test_tiny_model_matches_recorded_eval_path(self, monkeypatch):
         model = MaskSeparator(tiny_cfg(), seed=31)
         randomize_bn(model.store, 31)
         x = np.abs(np.random.default_rng(31).normal(size=(2, 1, 16, 32)))
-        self.assert_masks_match_recorded(model, x)
+        self.assert_masks_match_unfolded(model, x, monkeypatch)
 
-    def test_default_model_matches_on_a_full_tile(self):
+    def test_default_model_matches_on_a_full_tile(self, monkeypatch):
         model = MaskSeparator(NetworkConfig(), seed=32)
         randomize_bn(model.store, 32)
         x = np.random.default_rng(32).random((1, 1, 512, 128))
-        self.assert_masks_match_recorded(model, x, frozen=True)
+        self.assert_masks_match_unfolded(model, x, monkeypatch)
 
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -142,18 +141,34 @@ class TestFoldedInference:
                                activation=activation, alpha=0.2)
         randomize_bn(store, 33)
         x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 8, 6)).astype(dtype))
-        want = layer.forward(x, False)
-        assert want._node is not None
+        h = T.batchnorm(T.conv2d(x, layer.conv.weight, layer.conv.bias),
+                        layer.bn.gamma, layer.bn.beta, layer.bn.state, False)
+        want = T.relu(h) if activation == "relu" else T.leaky_relu(h, 0.2)
         buf = np.full((2, 7, 8, 6), np.nan, dtype=dtype)
-        with T.no_grad():
-            got = layer.forward(x, False, out=buf[:, 2:6])
-            alone = layer.forward(x, False)
+        got = layer.forward(x, False, out=buf[:, 2:6])
+        alone = layer.forward(x, False)
         assert got.data.base is buf and got.dtype == dtype and alone.dtype == dtype
         assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 6:]).all()
         assert (want.data < 0).any() == (activation == "leaky_relu")
         rtol = self.FOLD_RTOL if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(got.data, want.data, rtol=rtol, atol=rtol)
         np.testing.assert_array_equal(alone.data, got.data)
+
+    def test_eval_with_grad_enabled_records_nothing(self, monkeypatch):
+        model = MaskSeparator(tiny_cfg(), seed=36)
+        x = Tensor(np.abs(np.random.default_rng(36).normal(size=(2, 1, 16, 16))),
+                   requires_grad=True)
+        recorded = []
+        from_op = T._from_op
+        monkeypatch.setattr(T, "_from_op", lambda *a: recorded.append(a[3]) or from_op(*a))
+        mp, mh = model.forward(x, training=False)
+        assert recorded == []
+        with pytest.raises(ValueError, match="not connected"):
+            (mp + mh).sum().backward()
+        assert x.grad is None
+        assert all(p.grad is None for p in model.store.params.values())
+        model.forward(x, training=True)
+        assert "relu" in recorded
 
     def test_training_mode_does_not_fold(self):
         model = MaskSeparator(tiny_cfg(), seed=35)
@@ -360,6 +375,24 @@ class TestMaskSeparator:
         model = MaskSeparator(tiny_cfg(), seed=0)
         with pytest.raises(ValueError, match="channel"):
             model.forward(np.zeros((2, 16, 16)))
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_input_of_another_dtype_rejected(self, training):
+        model = MaskSeparator(tiny_cfg(), seed=0)
+        x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="input is float32, the model is float64"):
+            model.forward(x, training=training)
+
+    def test_float32_model_keeps_float32(self):
+        model = MaskSeparator(tiny_cfg(), seed=5, dtype=np.float32)
+        x = np.abs(np.random.default_rng(11).normal(size=(2, 1, 16, 16))).astype(np.float32)
+        for m in model.forward(x, training=False):
+            assert m.dtype == np.float32
+        mp, mh = model.forward(x, training=True)
+        assert mp.dtype == mh.dtype == np.float32
+        (mp * mh).sum().backward()
+        for name, p in model.store.params.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
 
     @pytest.mark.parametrize("branch_index", [0, 1, 2])
     def test_every_branch_influences_the_masks(self, branch_index):

@@ -242,7 +242,7 @@ FLOAT32_OPS = {
 
 class TestFloat32:
     def test_every_public_op_listed(self):
-        not_ops = {"Tensor", "RunningStats", "no_grad", "is_grad_enabled", "numeric_gradient",
+        not_ops = {"Tensor", "RunningStats", "no_grad", "numeric_gradient",
                    "assert_gradients_match"}
         assert set(T.__all__) - not_ops <= set(FLOAT32_OPS)
 
@@ -833,6 +833,52 @@ class TestElementwise:
 
         def loss():
             return (fn(x) * proj).sum()
+
+        assert_gradients_match(loss, [x], names=["x"])
+
+    def test_nan_passes_through_activations(self):
+        x = tens([np.nan, -1.0, 2.0])
+        np.testing.assert_array_equal(relu(x).data, [np.nan, 0.0, 2.0])
+        np.testing.assert_array_equal(leaky_relu(x, 0.5).data, [np.nan, -0.5, 2.0])
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5])
+    def test_leaky_relu_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="0 <= alpha < 1"):
+            leaky_relu(tens([1.0, -1.0]), alpha)
+
+
+ACTIVATIONS = {
+    "relu": relu,
+    "leaky_relu": lambda x, out=None: leaky_relu(x, 0.2, out=out),
+}
+
+
+class TestActivationOut:
+    """relu and leaky_relu written into a channel slice of a batch-2 buffer."""
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writes_the_values_of_the_plain_call(self, rng, name, dtype):
+        fn = ACTIVATIONS[name]
+        x = Tensor(rng.standard_normal((2, 2, 4, 3)).astype(dtype), requires_grad=True)
+        buf = np.full((2, 5, 4, 3), np.nan, dtype=dtype)
+        got = fn(x, out=buf[:, 1:3])
+        assert got.data.base is buf and got.dtype == dtype
+        np.testing.assert_array_equal(got.data, fn(x).data)
+        assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, 3:]).all()
+        got.sum().backward()
+        assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_gradients_match_finite_differences(self, rng, name):
+        fn = ACTIVATIONS[name]
+        values = rng.standard_normal((2, 2, 4, 3))
+        x = Tensor(values + np.sign(values) * 0.25, requires_grad=True)  # off the kink
+        proj = rng.standard_normal(x.shape)
+        buf = np.empty((2, 5, 4, 3))
+
+        def loss():
+            return (fn(x, out=buf[:, 1:3]) * proj).sum()
 
         assert_gradients_match(loss, [x], names=["x"])
 

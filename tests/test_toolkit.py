@@ -8,7 +8,6 @@ from scipy.io import wavfile
 from scipy.ndimage import median_filter
 
 from hpsep import cli
-from hpsep import tensor as T
 from hpsep.audio_io import AudioError, read_wav, write_wav
 from hpsep.config import (
     ConfigError,
@@ -375,12 +374,11 @@ class TestPipeline:
         mask_p, mask_h = estimate_masks(model, stats, spec, batch_size=2)
         mag = np.pad(spec.magnitude()[:N_BINS], ((0, 0), (0, 5 * PATCH_FRAMES - 600)))
         tiles_p, tiles_h = [], []
-        with T.no_grad():  # estimate_masks' mode, so the layers fold alike
-            for lo in range(0, 5 * PATCH_FRAMES, PATCH_FRAMES):
-                x = normalize_values(mag[:, lo : lo + PATCH_FRAMES], stats)[None, None]
-                mp, mh = model.forward(x)
-                tiles_p.append(mp.data[0, 0])
-                tiles_h.append(mh.data[0, 0])
+        for lo in range(0, 5 * PATCH_FRAMES, PATCH_FRAMES):
+            x = normalize_values(mag[:, lo : lo + PATCH_FRAMES], stats)[None, None]
+            mp, mh = model.forward(x)
+            tiles_p.append(mp.data[0, 0])
+            tiles_h.append(mh.data[0, 0])
         np.testing.assert_array_equal(mask_p, np.hstack(tiles_p)[:, :600])
         np.testing.assert_array_equal(mask_h, np.hstack(tiles_h)[:, :600])
 
