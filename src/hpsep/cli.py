@@ -45,7 +45,7 @@ def _cmd_train(args):
 def _cmd_separate(args):
     model, stats = load_checkpoint(args.ckpt)
     samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
-    perc, harm = separate_samples(model, stats, samples, sample_rate=rate)
+    perc, harm = separate_samples(model, stats, samples)
     write_wav(args.out_perc, perc, rate)
     write_wav(args.out_harm, harm, rate)
     print(f"wrote {args.out_perc} and {args.out_harm}")
@@ -55,7 +55,7 @@ def _cmd_separate(args):
 def _cmd_baseline(args):
     cfg = MedianConfig(l_harm=args.l_harm, l_perc=args.l_perc)
     samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
-    perc, harm = median_separate(samples, cfg, sample_rate=rate)
+    perc, harm = median_separate(samples, cfg)
     write_wav(args.out_perc, perc, rate)
     write_wav(args.out_harm, harm, rate)
     print(f"wrote {args.out_perc} and {args.out_harm}")

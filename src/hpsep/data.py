@@ -214,14 +214,22 @@ def write_dataset(tracks, root):
 
 
 def read_manifest(path):
-    """Rows of (id, duration_s, seed-or-None)."""
+    """Rows of (id, duration_s, seed-or-None); each id may appear once.
+
+    Training splits tracks by row, so a repeated id could put one track
+    on both sides of the train/validation split.
+    """
     rows = []
+    seen = set()
     with open(path, newline="") as fh:
         for row in csv.reader(fh, delimiter="\t"):
             if not row:
                 continue
             if len(row) != 3:
                 raise ValueError(f"manifest row needs 3 fields, got {row!r}")
+            if row[0] in seen:
+                raise ValueError(f"manifest {path} repeats track id {row[0]!r}")
+            seen.add(row[0])
             rows.append((row[0], float(row[1]), int(row[2]) if row[2] else None))
     return rows
 

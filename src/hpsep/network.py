@@ -209,8 +209,6 @@ class CompositeLayer:
         self.bn = _BatchNorm(store, f"{name}.bn", c_out, dtype)
         self.activation = activation
         self.alpha = alpha
-        self.in_channels = c_in
-        self.out_channels = c_out
 
     def forward(self, x, training, out=None):
         """The layer's activation, written into the array ``out`` if given."""
@@ -242,24 +240,14 @@ class DenseBlock:
                  dtype, activation="relu", alpha=0.01):
         self.in_channels = in_channels
         self.out_channels = growth_rate
-        self.layers = []
-        self.connection_count = 0
-        accumulated = [in_channels]
-        for i in range(1, layers + 1):
-            width = sum(accumulated)
-            # the dense concatenation must follow the n + (i - 1) * k rule
-            assert width == in_channels + (i - 1) * growth_rate, (
-                f"{name}: layer {i} sees {width} channels, "
-                f"expected {in_channels + (i - 1) * growth_rate}"
+        self.layers = [
+            CompositeLayer(
+                store, f"{name}.layer{i}", in_channels + i * growth_rate, growth_rate,
+                kernel, rng, dtype, activation=activation, alpha=alpha,
             )
-            self.layers.append(
-                CompositeLayer(
-                    store, f"{name}.layer{i - 1}", width, growth_rate, kernel, rng,
-                    dtype, activation=activation, alpha=alpha,
-                )
-            )
-            self.connection_count += len(accumulated)
-            accumulated.append(growth_rate)
+            for i in range(layers)
+        ]
+        self.connection_count = layers * (layers + 1) // 2
 
     def forward(self, parts, training):
         c, k = self.in_channels, self.out_channels
@@ -292,7 +280,6 @@ class MultiScaleBranch:
     def __init__(self, store, name, in_channels, cfg, kernel, rng, dtype):
         k = cfg.growth_rate
         L = cfg.layers_per_block
-        self.depth = cfg.depth
         self.enc = []
         c = in_channels
         for s in range(cfg.depth):
@@ -308,7 +295,6 @@ class MultiScaleBranch:
             self.dec.append(
                 DenseBlock(store, f"{name}.dec{s}", 2 * k, k, L, kernel, rng, dtype)
             )
-        self.out_channels = k
 
     def forward(self, x, training):
         skips = []

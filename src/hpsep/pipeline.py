@@ -24,22 +24,27 @@ from .tensor import Tensor
 
 __all__ = ["separate_samples", "estimate_masks"]
 
+BATCH_TILES = 4  # tiles per network forward
 
-def estimate_masks(model, stats, spec, batch_size=4):
+
+def estimate_masks(model, stats, spec):
     """(mask_perc, mask_harm), each (512, frames), for a Spectrogram."""
     tiles = [p.values for p in patchify(spec.magnitude()[:N_BINS])]
     masks_p = []
     masks_h = []
-    for lo in range(0, len(tiles), batch_size):
-        xn = normalize_values(np.stack(tiles[lo : lo + batch_size]), stats)[:, None]
+    for lo in range(0, len(tiles), BATCH_TILES):
+        xn = normalize_values(np.stack(tiles[lo : lo + BATCH_TILES]), stats)[:, None]
         mp, mh = model.forward(Tensor(xn), training=False)
         masks_p.extend(mp.data[:, 0])
         masks_h.extend(mh.data[:, 0])
     return depatchify(masks_p, spec.frames), depatchify(masks_h, spec.frames)
 
 
-def separate_samples(model, stats, samples, sample_rate=44100, batch_size=4):
-    """Split a mono waveform into (percussive, harmonic) estimates."""
-    spec = stft(samples, sample_rate)
-    mask_p, mask_h = estimate_masks(model, stats, spec, batch_size=batch_size)
+def separate_samples(model, stats, samples):
+    """Split a mono waveform into (percussive, harmonic) estimates of its length.
+
+    Nothing here reads the sample rate; the outputs share the input's.
+    """
+    spec = stft(samples)
+    mask_p, mask_h = estimate_masks(model, stats, spec)
     return apply_masks(mask_p, mask_h, spec)

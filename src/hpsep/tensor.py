@@ -581,20 +581,18 @@ class RunningStats:
     """Per-channel running mean and variance for batch normalization.
 
     Updated in place by ``batchnorm`` in training mode with an exponential
-    moving average; read (as constants) in inference mode.
+    moving average of factor ``momentum``; read (as constants) in inference
+    mode. ``eps`` is added to every variance before its square root.
     """
 
-    __slots__ = ("mean", "var", "momentum", "eps")
+    __slots__ = ("mean", "var")
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float64):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, channels, dtype=np.float64):
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batchnorm(x, gamma, beta, state, training):

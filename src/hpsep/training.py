@@ -34,6 +34,7 @@ import numpy as np
 
 from .dsp import (
     N_BINS,
+    PATCH_FRAMES,
     MagPatch,
     compute_global_stats,
     normalize_values,
@@ -200,7 +201,7 @@ def schedule_epoch(val_loss, state, cfg):
     return Decision.CONTINUE
 
 
-def make_ground_truth(mix, drums, sample_rate=44100):
+def make_ground_truth(mix, drums):
     """Build aligned Examples from a mixture and its drums stem.
 
     The harmonic target waveform is mix - drums, computed in the time
@@ -213,7 +214,7 @@ def make_ground_truth(mix, drums, sample_rate=44100):
         raise ValueError(f"length mismatch: mix {mix.shape}, drums {drums.shape}")
     harmonic = mix - drums
     tiles = [
-        patchify(stft(samples, sample_rate).magnitude()[:N_BINS])
+        patchify(stft(samples).magnitude()[:N_BINS])
         for samples in (mix, drums, harmonic)
     ]
     return [Example(x=px, p=pp, h=ph) for px, pp, ph in zip(*tiles)]
@@ -258,13 +259,15 @@ def _epoch_loss(model, examples, stats, cfg, batch_size):
     return total / len(examples)
 
 
-def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt",
-          metrics_path=None):
+def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     """Fit a separator on (mixture, drums) waveform pairs.
 
     Saves a checkpoint whenever the validation loss improves (and once
     before the first epoch, so an aborted run still leaves a loadable
-    model). Appends one metrics row per epoch. Returns a TrainResult.
+    model). Appends one metrics row per epoch to
+    ``<checkpoint_path>.metrics.csv``. Refuses, before writing either file,
+    an empty or silent corpus and a depth whose ``2 ** depth`` does not
+    divide the tile. Returns a TrainResult.
     """
     net_cfg = net_cfg or NetworkConfig()
     cfg = cfg or TrainConfig()
@@ -282,10 +285,16 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt",
             "training mixtures have no magnitude range (log-magnitude min "
             f"{stats.min_val}, max {stats.max_val}): a silent corpus cannot be normalized"
         )
+    scale = 2**net_cfg.depth
+    if N_BINS % scale or PATCH_FRAMES % scale:
+        raise TrainingError(
+            f"depth {net_cfg.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} tile: "
+            f"2 ** depth = {scale} must divide both sides"
+        )
 
     model = MaskSeparator(net_cfg, seed=cfg.seed)
     state = init_train_state(model.store, cfg)
-    metrics_path = metrics_path or f"{checkpoint_path}.metrics.csv"
+    metrics_path = f"{checkpoint_path}.metrics.csv"
     save_checkpoint(checkpoint_path, model.cfg, stats, model.store)
     with open(metrics_path, "w", newline="") as fh:
         csv.writer(fh).writerow(["epoch", "train_loss", "val_loss", "lr"])

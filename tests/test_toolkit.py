@@ -210,6 +210,16 @@ class TestDatasetIO:
         loaded = load_dataset(tmp_path / "ds", layout="musdb-wav")
         assert len(loaded) == 2
 
+    def test_repeated_manifest_id_rejected(self, tmp_path):
+        # one track listed twice could land on both sides of the split
+        tracks = [synth_track(quick_spec(), i) for i in range(2)]
+        manifest = write_dataset(tracks, tmp_path / "ds")
+        manifest.write_text(manifest.read_text() + "track000\t1.000000\t0\n")
+        with pytest.raises(ValueError, match="repeats track id 'track000'"):
+            read_manifest(manifest)
+        with pytest.raises(ValueError, match="repeats track id 'track000'"):
+            load_dataset(tmp_path / "ds")
+
     def test_unknown_layout_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="layout"):
             load_dataset(tmp_path, layout="flac")
@@ -368,10 +378,10 @@ class TestPipeline:
     def test_estimate_masks_batches_match_one_tile_at_a_time(self, tmp_path):
         model, stats, _ = small_checkpoint(tmp_path)
         # 600 frames: five tiles, the last with 88 frames of padding, run
-        # at two tiles per batch so the last batch holds a single tile
+        # as batches of four and one tile, so the last batch holds one tile
         spec = stft(np.random.default_rng(9).normal(size=599 * HOP - 100) * 0.1)
         assert spec.frames == 600
-        mask_p, mask_h = estimate_masks(model, stats, spec, batch_size=2)
+        mask_p, mask_h = estimate_masks(model, stats, spec)
         mag = np.pad(spec.magnitude()[:N_BINS], ((0, 0), (0, 5 * PATCH_FRAMES - 600)))
         tiles_p, tiles_h = [], []
         for lo in range(0, 5 * PATCH_FRAMES, PATCH_FRAMES):
@@ -506,6 +516,18 @@ class TestCli:
         assert "sample rate 22050 Hz" in capsys.readouterr().err
         assert not out_p.exists() and not out_h.exists()
 
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    def test_odd_rate_input_accepted_when_allowed(self, command, tmp_path, capsys):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.random.default_rng(3).normal(size=4410 + 37) * 0.1, rate=22050)
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        args = self.split_args(command, tmp_path, mix, out_p, out_h)
+        assert cli.main(args + ["--resample-off-ok"]) == 0
+        for out in (out_p, out_h):
+            samples, rate = read_wav(out, allow_other_rate=True)
+            assert rate == 22050 and samples.shape == (4410 + 37,)
+        capsys.readouterr()
+
     @staticmethod
     def split_args(command, tmp_path, mix, out_p, out_h):
         """Arguments of ``separate`` (with a tiny checkpoint) or ``baseline``."""
@@ -600,6 +622,20 @@ class TestCli:
                        "--out", str(ckpt)])
         assert rc == 1
         assert "silent corpus cannot be normalized" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not (tmp_path / "model.ckpt.metrics.csv").exists()
+
+    def test_train_too_deep_for_a_tile_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        spec_path = write_synth_cfg(tmp_path / "synth.cfg")
+        assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+        run_cfg = write_run_cfg(tmp_path / "run.cfg")
+        run_cfg.write_text(run_cfg.read_text().replace("depth = 1", "depth = 8"))
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(run_cfg),
+                       "--out", str(ckpt)])
+        assert rc == 1
+        assert "depth 8 is too deep" in capsys.readouterr().err
         assert not ckpt.exists()
         assert not (tmp_path / "model.ckpt.metrics.csv").exists()
 
