@@ -312,9 +312,10 @@ class MultiScaleBranch:
 class MaskSeparator:
     """Three-branch dense masking network with two sigmoid heads.
 
-    ``forward`` maps a (1, H, W) magnitude patch, or a batch of them, to
-    a (percussive, harmonic) mask pair of the same spatial size with
-    values strictly inside (0, 1). H and W must be divisible by
+    ``forward`` maps a batch of magnitude patches, (N, 1, H, W), to a
+    (percussive, harmonic) mask pair of the same shape with values
+    strictly inside (0, 1); in inference a lone (1, H, W) patch runs as a
+    batch of one and gets (1, H, W) masks. H and W must be divisible by
     2 ** depth. Given ``records`` (see ``ParamStore``), the model takes
     its parameters and buffers from them instead of initializing them.
     """
@@ -343,17 +344,22 @@ class MaskSeparator:
         ``training`` is the one mode switch. Training records the graph and
         normalizes with batch statistics. Inference records nothing, even
         with gradients on, and runs every layer folded (see
-        ``CompositeLayer``).
+        ``CompositeLayer``). Only inference takes a lone patch, batched
+        here, so no layer sees a map without its batch axis.
         """
         if not isinstance(x, Tensor):
             x = Tensor(x)
         data = x.data
         if data.dtype != self.dtype:
             raise ValueError(f"input is {data.dtype}, the model is {self.dtype}")
-        if data.ndim not in (3, 4):
-            raise ValueError(f"expected (1, H, W) or (N, 1, H, W), got shape {data.shape}")
-        if data.shape[-3] != 1:
-            raise ValueError(f"expected a single input channel, got {data.shape[-3]}")
+        lone = not training and data.ndim == 3
+        if lone:
+            x = Tensor(data[None])
+        elif data.ndim != 4:
+            raise ValueError(f"expected (N, 1, H, W) patches (or one (1, H, W) patch in "
+                             f"inference), got shape {data.shape}")
+        if x.shape[1] != 1:
+            raise ValueError(f"expected a single input channel, got {x.shape[1]}")
         h, w = data.shape[-2:]
         scale = 2**self.cfg.depth
         if h % scale or w % scale:
@@ -364,7 +370,8 @@ class MaskSeparator:
         with contextlib.nullcontext() if training else T.no_grad():
             outs = [branch.forward(x, training) for branch in self.branches]
             fused = self.fuse.forward(outs, training)
-            return T.sigmoid(self.head_perc(fused)), T.sigmoid(self.head_harm(fused))
+            masks = T.sigmoid(self.head_perc(fused)), T.sigmoid(self.head_harm(fused))
+        return tuple(Tensor(m.data[0]) for m in masks) if lone else masks
 
 
 # -- checkpoint serialization ------------------------------------------------

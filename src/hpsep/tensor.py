@@ -20,11 +20,12 @@ keep a gradient, and each node lets go of its links and closure as soon
 as its VJP has run, so the saved arrays are freed during the sweep. A
 consumed graph cannot be swept again.
 
-Layout convention: feature maps are channel-major ``(C, H, W)``, with an
-optional leading batch axis ``(N, C, H, W)``. Spatial ops accept either
-rank and return the rank they were given. Data is float64 by default;
-float32 is kept when the caller supplies it, through constants, scalars
-and gradients alike.
+Layout convention: the spatial ops (``conv2d``, ``transposed_conv2``,
+``maxpool2``, ``batchnorm``) take and return batched, channel-major
+``(N, C, H, W)`` feature maps, and refuse any other rank; a single map is
+a batch of one. The elementwise ops and the channel concatenations work
+on any rank. Data is float64 by default; float32 is kept when the caller
+supplies it, through constants, scalars and gradients alike.
 
 ``conv2d`` follows a narrow-side rule: its forward pass, input gradient
 and weight gradient each shift whichever of the input or output has fewer
@@ -276,13 +277,11 @@ def _from_op(data, parents, backward_fn, op):
     return out
 
 
-def _batched(arr):
-    """Promote (C, H, W) to (1, C, H, W); report whether promotion happened."""
-    if arr.ndim == 3:
-        return arr[None], True
-    if arr.ndim == 4:
-        return arr, False
-    raise ValueError(f"expected a 3-D or 4-D feature map, got shape {arr.shape}")
+def _maps(arr):
+    """``arr``, checked to be a batch of feature maps, (N, C, H, W)."""
+    if arr.ndim != 4:
+        raise ValueError(f"expected (N, C, H, W) feature maps, got shape {arr.shape}")
+    return arr
 
 
 def _record(data, parents, backward_fn, op):
@@ -428,7 +427,7 @@ def conv2d(x, weight, bias):
     reorders its float sum. A kn2row output or dx is a view of its flat
     accumulator, so its channel stride is the padded length, not H*W.
     """
-    xb, was3d = _batched(x.data)
+    xb = _maps(x.data)
     w = weight.data
     b = bias.data
     if w.ndim != 4:
@@ -460,18 +459,17 @@ def conv2d(x, weight, bias):
     out += b[:, None, None]
 
     def fn(g):
-        gb = g if g.ndim == 4 else g[None]
         dx = dw = db = None
         if need_db:
-            db = gb.sum(axis=(0, 2, 3))
+            db = g.sum(axis=(0, 2, 3))
         if narrow_out:
             # the adjoint of tap (i, j) is the shift of the flipped tap, so one
             # band of output-gradient shifts serves dx and dw alike
             if need_dx:
                 wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
-                dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, gb))
+                dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, g))
             if need_dx or need_dw:
-                for r0, r1, gcols in _tap_stacks(gb, kh, kw):
+                for r0, r1, gcols in _tap_stacks(g, kh, kw):
                     if need_dw:
                         part = (gcols @ _rows(xb, r0, r1).transpose(0, 2, 1)).sum(axis=0)
                         dw = part if dw is None else dw + part
@@ -483,19 +481,16 @@ def conv2d(x, weight, bias):
         else:
             if need_dw:
                 for r0, r1, xcols in _tap_stacks(xb, kh, kw):
-                    part = (_rows(gb, r0, r1) @ xcols.transpose(0, 2, 1)).sum(axis=0)
+                    part = (_rows(g, r0, r1) @ xcols.transpose(0, 2, 1)).sum(axis=0)
                     dw = part if dw is None else dw + part
                     del xcols
                 dw = dw.reshape(w.shape)
             if need_dx:
                 wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
-                dx = _gemm_shift_add(wrows, gb, kh, kw)
-        if dx is not None and was3d:
-            dx = dx[0]
+                dx = _gemm_shift_add(wrows, g, kh, kw)
         return (dx, dw, db)
 
-    result = out[0] if was3d else out
-    return _record(result, (x, weight, bias), fn, "conv2d")
+    return _record(out, (x, weight, bias), fn, "conv2d")
 
 
 def transposed_conv2(x, weight, bias):
@@ -504,7 +499,7 @@ def transposed_conv2(x, weight, bias):
     weight: (C_in, C_out, 2, 2). Adjoint of a stride-2 2x2 convolution, so
     output taps never overlap.
     """
-    xb, was3d = _batched(x.data)
+    xb = _maps(x.data)
     w = weight.data
     b = bias.data
     if w.ndim != 4 or w.shape[2:] != (2, 2):
@@ -526,27 +521,23 @@ def transposed_conv2(x, weight, bias):
             ).transpose(0, 3, 1, 2)
 
     def fn(g):
-        gb = g if g.ndim == 4 else g[None]
         dx = dw = db = None
         if need_db:
-            db = gb.sum(axis=(0, 2, 3))
+            db = g.sum(axis=(0, 2, 3))
         if need_dw:
             dw = np.empty_like(w)
         if need_dx:
             dx = np.zeros_like(xb)
         for a in (0, 1):
             for c in (0, 1):
-                gs = gb[:, :, a::2, c::2]
+                gs = g[:, :, a::2, c::2]
                 if need_dw:
                     dw[:, :, a, c] = np.tensordot(xb, gs, axes=([0, 2, 3], [0, 2, 3]))
                 if need_dx:
                     dx += np.tensordot(gs, w[:, :, a, c], axes=([1], [1])).transpose(0, 3, 1, 2)
-        if dx is not None and was3d:
-            dx = dx[0]
         return (dx, dw, db)
 
-    result = out[0] if was3d else out
-    return _record(result, (x, weight, bias), fn, "transposed_conv2")
+    return _record(out, (x, weight, bias), fn, "transposed_conv2")
 
 
 def maxpool2(x):
@@ -554,7 +545,7 @@ def maxpool2(x):
 
     Ties resolve to the first maximum in row-major window order.
     """
-    xb, was3d = _batched(x.data)
+    xb = _maps(x.data)
     n, c, h, w = xb.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even for 2x2 pooling, got {h}x{w}")
@@ -565,16 +556,12 @@ def maxpool2(x):
     idx = idx.astype(np.uint8)  # window positions 0-3, kept for backward
 
     def fn(g):
-        gb = g if g.ndim == 4 else g[None]
-        z = np.zeros((n, c, h2, w2, 4), dtype=gb.dtype)
-        np.put_along_axis(z, idx[..., None], gb[..., None], axis=-1)
+        z = np.zeros((n, c, h2, w2, 4), dtype=g.dtype)
+        np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
         dx = z.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        if was3d:
-            dx = dx[0]
         return (dx,)
 
-    result = out[0] if was3d else out
-    return _record(result, (x,), fn, "maxpool2")
+    return _record(out, (x,), fn, "maxpool2")
 
 
 class RunningStats:
@@ -602,7 +589,7 @@ def batchnorm(x, gamma, beta, state, training):
     updates ``state`` in place; inference mode normalizes with the stored
     running statistics. Variance is the biased (1/m) estimate throughout.
     """
-    xb, was3d = _batched(x.data)
+    xb = _maps(x.data)
     c = xb.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(
@@ -631,12 +618,11 @@ def batchnorm(x, gamma, beta, state, training):
     need_dx, need_dgamma, need_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def fn(g):
-        gb = g if g.ndim == 4 else g[None]
-        dgamma = (gb * xhat).sum(axis=(0, 2, 3)) if need_dgamma else None
-        dbeta = gb.sum(axis=(0, 2, 3)) if need_dbeta else None
+        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_dgamma else None
+        dbeta = g.sum(axis=(0, 2, 3)) if need_dbeta else None
         dx = None
         if need_dx:
-            dxhat = gb * gdata[None, :, None, None]
+            dxhat = g * gdata[None, :, None, None]
             if training:
                 # gradient through the batch mean and variance
                 mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
@@ -644,12 +630,9 @@ def batchnorm(x, gamma, beta, state, training):
                 dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * ivar[None, :, None, None]
             else:
                 dx = dxhat * ivar[None, :, None, None]
-            if was3d:
-                dx = dx[0]
         return (dx, dgamma, dbeta)
 
-    result = out[0] if was3d else out
-    return _record(result, (x, gamma, beta), fn, "batchnorm")
+    return _record(out, (x, gamma, beta), fn, "batchnorm")
 
 
 # -- elementwise nonlinearities -------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,14 +266,24 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     Saves a checkpoint whenever the validation loss improves (and once
     before the first epoch, so an aborted run still leaves a loadable
     model). Appends one metrics row per epoch to
-    ``<checkpoint_path>.metrics.csv``. Refuses, before writing either file,
-    an empty or silent corpus and a depth whose ``2 ** depth`` does not
-    divide the tile. Returns a TrainResult.
+    ``<checkpoint_path>.metrics.csv``. Refuses an empty corpus, a depth
+    whose ``2 ** depth`` does not divide the tile and a checkpoint path in
+    a missing directory before any STFT, and a silent corpus before
+    writing either file. Returns a TrainResult.
     """
     net_cfg = net_cfg or NetworkConfig()
     cfg = cfg or TrainConfig()
     if len(tracks) == 0:
         raise TrainingError("empty dataset")
+    scale = 2**net_cfg.depth
+    if N_BINS % scale or PATCH_FRAMES % scale:
+        raise TrainingError(
+            f"depth {net_cfg.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} tile: "
+            f"2 ** depth = {scale} must divide both sides"
+        )
+    out_dir = os.path.dirname(os.fspath(checkpoint_path)) or "."
+    if not os.path.isdir(out_dir):
+        raise TrainingError(f"checkpoint directory {out_dir} does not exist")
     split_rng = np.random.Generator(np.random.PCG64(cfg.seed))
     train_idx, val_idx = split_tracks(len(tracks), cfg.val_fraction, split_rng)
 
@@ -284,12 +295,6 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
         raise TrainingError(
             "training mixtures have no magnitude range (log-magnitude min "
             f"{stats.min_val}, max {stats.max_val}): a silent corpus cannot be normalized"
-        )
-    scale = 2**net_cfg.depth
-    if N_BINS % scale or PATCH_FRAMES % scale:
-        raise TrainingError(
-            f"depth {net_cfg.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} tile: "
-            f"2 ** depth = {scale} must divide both sides"
         )
 
     model = MaskSeparator(net_cfg, seed=cfg.seed)

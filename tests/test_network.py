@@ -254,8 +254,8 @@ class TestDenseBlockBuffer:
     # batch 2 makes every prefix view non-contiguous across the batch axis;
     # two parts are a decoder block's upsampled map and encoder skip
     @pytest.mark.parametrize("shapes", [
-        [(2, 2, 8, 6)], [(2, 8, 6)], [(2, 2, 8, 6), (2, 3, 8, 6)], [(2, 8, 6), (3, 8, 6)],
-    ], ids=["4d", "3d", "4d-two-parts", "3d-two-parts"])
+        [(2, 2, 8, 6)], [(2, 2, 8, 6), (2, 3, 8, 6)],
+    ], ids=["4d", "4d-two-parts"])
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
@@ -370,6 +370,20 @@ class TestMaskSeparator:
         model = MaskSeparator(tiny_cfg(), seed=0)
         with pytest.raises(ValueError, match="divisible"):
             model.forward(np.zeros((1, 15, 16)))
+
+    def test_lone_patch_matches_batch_of_one_in_infer_mode(self):
+        model = MaskSeparator(tiny_cfg(), seed=2)
+        x = np.random.default_rng(8).normal(size=(1, 16, 16))
+        lone = model.forward(x, training=False)
+        batched = model.forward(x[None], training=False)
+        for got, want in zip(lone, batched):
+            assert got.shape == (1, 16, 16) and want.shape == (1, 1, 16, 16)
+            assert got.data.tobytes() == want.data[0].tobytes()
+
+    def test_training_refuses_a_lone_patch(self):
+        model = MaskSeparator(tiny_cfg(), seed=0)
+        with pytest.raises(ValueError, match=r"expected \(N, 1, H, W\) patches"):
+            model.forward(np.zeros((1, 16, 16)), training=True)
 
     def test_wrong_channel_count_rejected(self):
         model = MaskSeparator(tiny_cfg(), seed=0)

@@ -228,7 +228,7 @@ FLOAT32_OPS = {
     "maxpool2": ([(2, 3, 4, 4)], maxpool2),
     "batchnorm": ([(2, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
         x, g, b, RunningStats(3, dtype=np.float32), True)),
-    "batchnorm_infer": ([(3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
+    "batchnorm_infer": ([(1, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
         x, g, b, RunningStats(3, dtype=np.float32), False)),
     "relu": ([(3, 4)], relu),
     "leaky_relu": ([(3, 4)], lambda a: leaky_relu(a, 0.1)),
@@ -260,7 +260,7 @@ class TestFloat32:
 
 class TestConv2d:
     def test_identity_kernel(self, rng):
-        x = tens(rng.standard_normal((1, 5, 7)))
+        x = tens(rng.standard_normal((1, 1, 5, 7)))
         w = tens(np.ones((1, 1, 1, 1)))
         b = tens(np.zeros(1))
         out = conv2d(x, w, b)
@@ -269,10 +269,10 @@ class TestConv2d:
     def test_ones_kernel_counts_padded_neighbors(self):
         # all-ones 3x3 kernel over all-ones 4x4 input: each output counts the
         # in-bounds taps, so corners see 4, edges 6, interior 9
-        x = tens(np.ones((1, 4, 4)))
+        x = tens(np.ones((1, 1, 4, 4)))
         w = tens(np.ones((1, 1, 3, 3)))
         b = tens(np.zeros(1))
-        out = conv2d(x, w, b).data[0]
+        out = conv2d(x, w, b).data[0, 0]
         expected = np.array(
             [
                 [4.0, 6.0, 6.0, 4.0],
@@ -286,18 +286,18 @@ class TestConv2d:
     def test_asymmetric_kernel_orientation(self):
         # a 1x3 kernel [1, 0, 0] shifts content right by one column under
         # cross-correlation (output[j] = input[j-1])
-        x = tens(np.arange(5.0)[None, None, :] * np.ones((1, 1, 1)))
+        x = tens(np.arange(5.0)[None, None, None, :] * np.ones((1, 1, 1, 1)))
         w = tens(np.array([1.0, 0.0, 0.0]).reshape(1, 1, 1, 3))
         b = tens(np.zeros(1))
-        out = conv2d(x, w, b).data[0, 0]
+        out = conv2d(x, w, b).data[0, 0, 0]
         np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("kshape", [(3, 3), (13, 1), (1, 13)])
     def test_same_shape_preserved(self, rng, kshape):
-        x = tens(rng.standard_normal((1, 512, 128)))
+        x = tens(rng.standard_normal((1, 1, 512, 128)))
         w = tens(rng.standard_normal((2, 1) + kshape))
         b = tens(rng.standard_normal(2))
-        assert conv2d(x, w, b).shape == (2, 512, 128)
+        assert conv2d(x, w, b).shape == (1, 2, 512, 128)
 
     def test_batch_axis(self, rng):
         x4 = rng.standard_normal((3, 2, 8, 6))
@@ -305,14 +305,14 @@ class TestConv2d:
         b = tens(rng.standard_normal(4))
         out = conv2d(tens(x4), w, b)
         assert out.shape == (3, 4, 8, 6)
-        # per-example equality with the unbatched op
+        # per-example equality with the op on a batch of one
         for i in range(3):
-            single = conv2d(tens(x4[i]), w, b)
-            np.testing.assert_allclose(out.data[i], single.data, rtol=0, atol=1e-12)
+            single = conv2d(tens(x4[i : i + 1]), w, b)
+            np.testing.assert_allclose(out.data[i : i + 1], single.data, rtol=0, atol=1e-12)
 
     def test_linearity(self, rng):
-        x1 = rng.standard_normal((2, 6, 6))
-        x2 = rng.standard_normal((2, 6, 6))
+        x1 = rng.standard_normal((1, 2, 6, 6))
+        x2 = rng.standard_normal((1, 2, 6, 6))
         w = tens(rng.standard_normal((3, 2, 3, 3)))
         b = tens(np.zeros(3))
         lhs = conv2d(tens(2.0 * x1 + 0.5 * x2), w, b).data
@@ -320,22 +320,22 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_channel_mismatch_rejected(self, rng):
-        x = tens(rng.standard_normal((2, 4, 4)))
+        x = tens(rng.standard_normal((1, 2, 4, 4)))
         w = tens(rng.standard_normal((1, 3, 3, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input has 2 channels, kernel expects 3"):
             conv2d(x, w, tens(np.zeros(1)))
 
     def test_even_kernel_rejected(self, rng):
-        x = tens(rng.standard_normal((1, 4, 4)))
+        x = tens(rng.standard_normal((1, 1, 4, 4)))
         w = tens(rng.standard_normal((1, 1, 2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel dims must be odd"):
             conv2d(x, w, tens(np.zeros(1)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.standard_normal((1, 6, 6)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 1, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
-        proj = rng.standard_normal((2, 6, 6))
+        proj = rng.standard_normal((1, 2, 6, 6))
 
         def loss():
             return (conv2d(x, w, b) * proj).sum()
@@ -343,10 +343,10 @@ class TestConv2d:
         assert_gradients_match(loss, [x, w, b], names=["x", "w", "b"])
 
     def test_rectangular_kernel_gradients(self, rng):
-        x = Tensor(rng.standard_normal((2, 4, 15)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 15)), requires_grad=True)
         w = Tensor(rng.standard_normal((1, 2, 1, 13)), requires_grad=True)
         b = Tensor(rng.standard_normal(1), requires_grad=True)
-        proj = rng.standard_normal((1, 4, 15))
+        proj = rng.standard_normal((1, 1, 4, 15))
 
         def loss():
             return (conv2d(x, w, b) * proj).sum()
@@ -383,11 +383,11 @@ def naive_conv(x, w, b, proj):
 # (x shape, kernel shape): both narrow sides, equal widths, 1x1, tall and
 # wide kernels longer than the map (on heights 9 and widths 8 every tap still
 # reads the map; on heights 5 and widths 3-4 the outer taps read only
-# padding), 3-D and 4-D. The last twelve are maps one or two columns wide
-# under 3x3 and 1x13 kernels, where a flat tap slice wraps into the
+# padding), at batch 1 and 2. The last twelve are maps one or two columns
+# wide under 3x3 and 1x13 kernels, where a flat tap slice wraps into the
 # neighbouring row for every or almost every column, and maps one row high
-# under 13x1 and 3x3; each shape is run 3-D on one narrow side and at batch 2
-# on the other.
+# under 13x1 and 3x3; each shape is run at batch 1 on one narrow side and at
+# batch 2 on the other.
 CONV_CASES = [
     ((2, 6, 7, 9), (3, 6, 3, 3)),
     ((2, 2, 7, 9), (5, 2, 3, 3)),
@@ -398,20 +398,19 @@ CONV_CASES = [
     ((1, 2, 9, 3), (4, 2, 13, 1)),
     ((1, 4, 5, 8), (2, 4, 1, 13)),
     ((1, 2, 3, 4), (3, 2, 1, 13)),
-    ((4, 5, 8), (2, 4, 1, 13)),
-    ((6, 5, 7), (2, 6, 3, 3)),
-    ((2, 5, 7), (6, 2, 3, 3)),
-    ((4, 5, 1), (2, 4, 3, 3)),
+    ((1, 6, 5, 7), (2, 6, 3, 3)),
+    ((1, 2, 5, 7), (6, 2, 3, 3)),
+    ((1, 4, 5, 1), (2, 4, 3, 3)),
     ((2, 2, 5, 1), (3, 2, 3, 3)),
-    ((2, 5, 2), (3, 2, 3, 3)),
+    ((1, 2, 5, 2), (3, 2, 3, 3)),
     ((2, 4, 5, 2), (2, 4, 3, 3)),
-    ((3, 4, 1), (2, 3, 1, 13)),
+    ((1, 3, 4, 1), (2, 3, 1, 13)),
     ((2, 2, 4, 1), (3, 2, 1, 13)),
-    ((2, 4, 2), (3, 2, 1, 13)),
+    ((1, 2, 4, 2), (3, 2, 1, 13)),
     ((2, 3, 4, 2), (2, 3, 1, 13)),
-    ((3, 1, 5), (2, 3, 13, 1)),
+    ((1, 3, 1, 5), (2, 3, 13, 1)),
     ((2, 2, 1, 5), (3, 2, 13, 1)),
-    ((2, 1, 5), (3, 2, 3, 3)),
+    ((1, 2, 1, 5), (3, 2, 3, 3)),
     ((2, 3, 1, 5), (2, 3, 3, 3)),
 ]
 
@@ -426,17 +425,8 @@ def conv_case(rng, xshape, wshape, frozen=None, dtype=np.float64):
 
 
 def naive_for(x, w, b, proj):
-    """naive_conv on float64 copies, with a 3-D case promoted and restored."""
-    batched = x.data.ndim == 4
-    xs = x.data if batched else x.data[None]
-    ps = proj if batched else proj[None]
-    out, dx, dw, db = naive_conv(
-        xs.astype(np.float64), w.data.astype(np.float64), b.data.astype(np.float64),
-        ps.astype(np.float64),
-    )
-    if not batched:
-        out, dx = out[0], dx[0]
-    return out, dx, dw, db
+    """naive_conv on float64 copies of the operands."""
+    return naive_conv(*(a.astype(np.float64) for a in (x.data, w.data, b.data, proj)))
 
 
 class TestConv2dNarrowSide:
@@ -549,7 +539,7 @@ DW_RTOL = 1e-13
 # (x shape, kernel shape): 13x1 on heights 5, 9, 15 and 40 (bands of 1, 1,
 # 2 and 4 rows; 15 leaves a one-row last band), 3x3 on height 17 (the last
 # of nine bands has one row), 1x13 on width 8, both narrow sides of each,
-# 1x1, 3-D, and 4-D at batch 2. Widths are 8 so that every band is a
+# 1x1, at batch 1 and 2. Widths are 8 so that every band is a
 # multiple of 8 columns wide; with 4-column bands OpenBLAS was seen to
 # round a band's GEMM differently from the whole map's.
 BAND_CASES = [
@@ -566,8 +556,8 @@ BAND_CASES = [
     ((2, 2, 6, 8), (4, 2, 1, 13)),
     ((2, 5, 6, 8), (2, 5, 1, 1)),
     ((2, 2, 6, 8), (5, 2, 1, 1)),
-    ((5, 9, 8), (2, 5, 3, 3)),
-    ((2, 15, 8), (4, 2, 13, 1)),
+    ((1, 5, 9, 8), (2, 5, 3, 3)),
+    ((1, 2, 15, 8), (4, 2, 13, 1)),
 ]
 
 
@@ -577,12 +567,9 @@ class TestConv2dBands:
         x, w, b, proj = conv_case(rng, xshape, wshape)
         out = conv2d(x, w, b)
         (out * proj).sum().backward()
-        batched = len(xshape) == 4
-        want = whole_map_conv(x.data if batched else x.data[None], w.data, b.data,
-                              proj if batched else proj[None])
-        want_out, want_dx = (want[0], want[1]) if batched else (want[0][0], want[1][0])
-        np.testing.assert_array_equal(out.data, want_out)
-        np.testing.assert_array_equal(x.grad, want_dx)
+        want = whole_map_conv(x.data, w.data, b.data, proj)
+        np.testing.assert_array_equal(out.data, want[0])
+        np.testing.assert_array_equal(x.grad, want[1])
         np.testing.assert_array_equal(b.grad, want[3])
         assert np.max(np.abs(w.grad - want[2])) <= DW_RTOL * np.max(np.abs(want[2]))
 
@@ -658,33 +645,33 @@ class TestConv2dBandMemorySquare(TestConv2dBandMemory):
 
 class TestMaxpool2:
     def test_values(self):
-        x = tens([[[1.0, 2.0], [4.0, 3.0]]])
+        x = tens([[[[1.0, 2.0], [4.0, 3.0]]]])
         out = maxpool2(x)
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 4.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0] == 4.0
 
     def test_constant_input(self):
-        x = tens(np.full((3, 4, 6), 7.0))
-        np.testing.assert_array_equal(maxpool2(x).data, np.full((3, 2, 3), 7.0))
+        x = tens(np.full((1, 3, 4, 6), 7.0))
+        np.testing.assert_array_equal(maxpool2(x).data, np.full((1, 3, 2, 3), 7.0))
 
     def test_gradient_routes_to_argmax(self):
-        x = Tensor(np.array([[[1.0, 2.0], [4.0, 3.0]]]), requires_grad=True)
+        x = Tensor(np.array([[[[1.0, 2.0], [4.0, 3.0]]]]), requires_grad=True)
         maxpool2(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[[0.0, 0.0], [1.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 0.0], [1.0, 0.0]]]])
 
     def test_tie_routes_once(self):
-        x = Tensor(np.full((1, 2, 2), 5.0), requires_grad=True)
+        x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
         maxpool2(x).sum().backward()
         assert x.grad.sum() == 1.0
         assert (x.grad >= 0).all()
 
     def test_odd_dims_rejected(self):
-        with pytest.raises(ValueError):
-            maxpool2(tens(np.zeros((1, 3, 4))))
+        with pytest.raises(ValueError, match="spatial dims must be even"):
+            maxpool2(tens(np.zeros((1, 1, 3, 4))))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.standard_normal((2, 6, 4)), requires_grad=True)
-        proj = rng.standard_normal((2, 3, 2))
+        x = Tensor(rng.standard_normal((1, 2, 6, 4)), requires_grad=True)
+        proj = rng.standard_normal((1, 2, 3, 2))
 
         def loss():
             return (maxpool2(x) * proj).sum()
@@ -694,48 +681,48 @@ class TestMaxpool2:
 
 class TestTransposedConv2:
     def test_single_pixel_stamps_kernel(self):
-        x = tens(np.array([[[2.0]]]))
+        x = tens(np.array([[[[2.0]]]]))
         w = tens(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))  # (1, 1, 2, 2)
         b = tens(np.zeros(1))
-        out = transposed_conv2(x, w, b).data[0]
+        out = transposed_conv2(x, w, b).data[0, 0]
         np.testing.assert_array_equal(out, [[2.0, 4.0], [6.0, 8.0]])
 
     def test_doubles_spatial_size(self, rng):
-        x = tens(rng.standard_normal((3, 16, 4)))
+        x = tens(rng.standard_normal((1, 3, 16, 4)))
         w = tens(rng.standard_normal((3, 5, 2, 2)))
         b = tens(rng.standard_normal(5))
-        assert transposed_conv2(x, w, b).shape == (5, 32, 8)
+        assert transposed_conv2(x, w, b).shape == (1, 5, 32, 8)
 
     def test_roundtrip_shape_with_pool(self, rng):
-        x = tens(rng.standard_normal((2, 8, 6)))
+        x = tens(rng.standard_normal((1, 2, 8, 6)))
         w = tens(rng.standard_normal((2, 2, 2, 2)))
         b = tens(np.zeros(2))
-        assert maxpool2(transposed_conv2(x, w, b)).shape == (2, 8, 6)
+        assert maxpool2(transposed_conv2(x, w, b)).shape == (1, 2, 8, 6)
 
     def test_adjoint_of_strided_conv(self, rng):
         # <tconv(x), y> == <x, pool-free strided conv of y> with shared kernel;
         # verified here through the gradient: d/dx <tconv(x), y> is the strided conv
-        x = Tensor(rng.standard_normal((1, 3, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
         w = tens(rng.standard_normal((1, 1, 2, 2)))
-        y = rng.standard_normal((1, 6, 6))
+        y = rng.standard_normal((1, 1, 6, 6))
         (transposed_conv2(x, w, tens(np.zeros(1))) * y).sum().backward()
-        manual = np.zeros((1, 3, 3))
+        manual = np.zeros((1, 1, 3, 3))
         for a in (0, 1):
             for c in (0, 1):
-                manual[0] += w.data[0, 0, a, c] * y[0, a::2, c::2]
+                manual[0, 0] += w.data[0, 0, a, c] * y[0, 0, a::2, c::2]
         np.testing.assert_allclose(x.grad, manual, atol=1e-12)
 
     def test_channel_mismatch_rejected(self, rng):
-        x = tens(rng.standard_normal((2, 4, 4)))
+        x = tens(rng.standard_normal((1, 2, 4, 4)))
         w = tens(rng.standard_normal((3, 1, 2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input has 2 channels, kernel expects 3"):
             transposed_conv2(x, w, tens(np.zeros(1)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
-        proj = rng.standard_normal((3, 6, 8))
+        proj = rng.standard_normal((1, 3, 6, 8))
 
         def loss():
             return (transposed_conv2(x, w, b) * proj).sum()
@@ -769,9 +756,9 @@ class TestBatchNorm:
         state = RunningStats(1)
         state.mean[:] = 4.0
         state.var[:] = 9.0
-        x = tens(np.full((1, 2, 2), 7.0))
+        x = tens(np.full((1, 1, 2, 2), 7.0))
         out = batchnorm(x, tens(np.ones(1)), tens(np.zeros(1)), state, training=False).data
-        np.testing.assert_allclose(out, np.full((1, 2, 2), (7.0 - 4.0) / np.sqrt(9.0 + 1e-5)))
+        np.testing.assert_allclose(out, np.full((1, 1, 2, 2), (7.0 - 4.0) / np.sqrt(9.0 + 1e-5)))
         # inference must not touch the stored statistics
         assert state.mean[0] == 4.0 and state.var[0] == 9.0
 
@@ -791,15 +778,36 @@ class TestBatchNorm:
         state = RunningStats(2)
         state.mean[:] = rng.standard_normal(2)
         state.var[:] = rng.random(2) + 0.5
-        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
         gamma = Tensor(rng.standard_normal(2) + 1.0, requires_grad=True)
         beta = Tensor(rng.standard_normal(2), requires_grad=True)
-        proj = rng.standard_normal((2, 4, 4))
+        proj = rng.standard_normal((1, 2, 4, 4))
 
         def loss():
             return (batchnorm(x, gamma, beta, state, training=False) * proj).sum()
 
         assert_gradients_match(loss, [x, gamma, beta], names=["x", "gamma", "beta"])
+
+
+SPATIAL_OPS = {
+    "conv2d": lambda x: conv2d(x, tens(np.ones((3, 2, 3, 3))), tens(np.zeros(3))),
+    "transposed_conv2": lambda x: transposed_conv2(x, tens(np.ones((2, 3, 2, 2))),
+                                                   tens(np.zeros(3))),
+    "maxpool2": maxpool2,
+    "batchnorm": lambda x: batchnorm(x, tens(np.ones(2)), tens(np.zeros(2)),
+                                     RunningStats(2), False),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("name", sorted(SPATIAL_OPS))
+    def test_map_without_batch_axis_rejected(self, name):
+        # (C, H, W) with C = 2 fits every kernel and stats: only the rank is wrong
+        x = tens(np.ones((2, 4, 4)))
+        with pytest.raises(ValueError, match=r"expected \(N, C, H, W\) feature maps, "
+                                             r"got shape \(2, 4, 4\)"):
+            SPATIAL_OPS[name](x)
+        SPATIAL_OPS[name](tens(np.ones((1, 2, 4, 4))))
 
 
 class TestElementwise:
@@ -932,12 +940,12 @@ class TestDeepComposition:
     def test_conv_pool_upsample_chain_gradients(self, rng):
         # conv -> pool -> tconv -> sigmoid, checked end to end at the
         # looser tolerance used for deep compositions
-        x = Tensor(rng.standard_normal((1, 8, 8)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 1, 8, 8)), requires_grad=True)
         w1 = Tensor(rng.standard_normal((2, 1, 3, 3)) * 0.5, requires_grad=True)
         b1 = Tensor(np.zeros(2), requires_grad=True)
         w2 = Tensor(rng.standard_normal((2, 1, 2, 2)) * 0.5, requires_grad=True)
         b2 = Tensor(np.zeros(1), requires_grad=True)
-        proj = rng.standard_normal((1, 8, 8))
+        proj = rng.standard_normal((1, 1, 8, 8))
 
         def loss():
             h = maxpool2(relu(conv2d(x, w1, b1)))

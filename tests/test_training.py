@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hpsep import tensor as T
+from hpsep import training
 from hpsep.dsp import N_BINS, PATCH_FRAMES, stft
 from hpsep.network import MaskSeparator, NetworkConfig, ParamStore, load_checkpoint
 from hpsep.tensor import Tensor
@@ -320,6 +321,21 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="at least 2"):
             train(toy_tracks(1), tiny_net(), TrainConfig(),
                   checkpoint_path=str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("depth, out, message", [
+        (8, "m.ckpt", "depth 8 is too deep"),
+        (1, "nodir/m.ckpt", "checkpoint directory .*nodir does not exist"),
+    ], ids=["too-deep", "no-directory"])
+    def test_refused_before_any_stft(self, tmp_path, monkeypatch, depth, out, message):
+        def no_stft(mix, drums):
+            raise AssertionError("make_ground_truth ran before the refusal")
+
+        monkeypatch.setattr(training, "make_ground_truth", no_stft)
+        net = NetworkConfig(growth_rate=1, layers_per_block=1, depth=depth,
+                            final_block_layers=1)
+        with pytest.raises(TrainingError, match=message):
+            train(toy_tracks(), net, TrainConfig(), checkpoint_path=str(tmp_path / out))
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_aborts_and_keeps_checkpoint(self, tmp_path):
         ckpt = tmp_path / "diverge.ckpt"
