@@ -42,24 +42,35 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_separate(args):
-    model, stats = load_checkpoint(args.ckpt)
+def _split_file(args, split):
+    """Write ``split(samples)``'s (percussive, harmonic) stems of ``args.infile``.
+
+    Both output paths are checked before the input is read or ``split`` runs,
+    so a path that cannot be written costs no work and leaves no stem behind.
+    """
+    for out in map(Path, (args.out_perc, args.out_harm)):
+        if not out.parent.is_dir():
+            raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise ValueError(f"cannot write {out}: it is a directory")
+    if Path(args.out_perc).resolve() == Path(args.out_harm).resolve():
+        raise ValueError(f"--out-perc and --out-harm are the same file: {args.out_perc}")
     samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
-    perc, harm = separate_samples(model, stats, samples)
+    perc, harm = split(samples)
     write_wav(args.out_perc, perc, rate)
     write_wav(args.out_harm, harm, rate)
     print(f"wrote {args.out_perc} and {args.out_harm}")
     return 0
+
+
+def _cmd_separate(args):
+    return _split_file(
+        args, lambda samples: separate_samples(*load_checkpoint(args.ckpt), samples))
 
 
 def _cmd_baseline(args):
     cfg = MedianConfig(l_harm=args.l_harm, l_perc=args.l_perc)
-    samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
-    perc, harm = median_separate(samples, cfg)
-    write_wav(args.out_perc, perc, rate)
-    write_wav(args.out_harm, harm, rate)
-    print(f"wrote {args.out_perc} and {args.out_harm}")
-    return 0
+    return _split_file(args, lambda samples: median_separate(samples, cfg))
 
 
 def _cmd_eval(args):

@@ -1,16 +1,14 @@
 """Whole-signal separation: run the mask network over every patch.
 
 The mixture is transformed once and its magnitude cut into 512x128
-tiles. Each batch of tiles is normalized with the checkpoint's training
-statistics and run through the network in inference mode. The mask tiles
-are joined and trimmed to the spectrogram's frame count, so output
-length equals input length, and applied to the mixture spectrogram with
-its original phase.
+tiles. Each tile is normalized with the checkpoint's training statistics
+and run through the network on its own, as one (1, 512, 128) patch in
+inference mode. The mask tiles are joined and trimmed to the
+spectrogram's frame count, so output length equals input length, and
+applied to the mixture spectrogram with its original phase.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .dsp import (
     N_BINS,
@@ -20,23 +18,18 @@ from .dsp import (
     patchify,
     stft,
 )
-from .tensor import Tensor
 
 __all__ = ["separate_samples", "estimate_masks"]
-
-BATCH_TILES = 4  # tiles per network forward
 
 
 def estimate_masks(model, stats, spec):
     """(mask_perc, mask_harm), each (512, frames), for a Spectrogram."""
-    tiles = [p.values for p in patchify(spec.magnitude()[:N_BINS])]
     masks_p = []
     masks_h = []
-    for lo in range(0, len(tiles), BATCH_TILES):
-        xn = normalize_values(np.stack(tiles[lo : lo + BATCH_TILES]), stats)[:, None]
-        mp, mh = model.forward(Tensor(xn), training=False)
-        masks_p.extend(mp.data[:, 0])
-        masks_h.extend(mh.data[:, 0])
+    for tile in patchify(spec.magnitude()[:N_BINS]):
+        mp, mh = model.forward(normalize_values(tile.values, stats)[None], training=False)
+        masks_p.append(mp.data[0])
+        masks_h.append(mh.data[0])
     return depatchify(masks_p, spec.frames), depatchify(masks_h, spec.frames)
 
 

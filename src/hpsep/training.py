@@ -268,8 +268,8 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     model). Appends one metrics row per epoch to
     ``<checkpoint_path>.metrics.csv``. Refuses an empty corpus, a depth
     whose ``2 ** depth`` does not divide the tile and a checkpoint path in
-    a missing directory before any STFT, and a silent corpus before
-    writing either file. Returns a TrainResult.
+    a missing directory or naming a directory before any STFT, and a
+    silent corpus before writing either file. Returns a TrainResult.
     """
     net_cfg = net_cfg or NetworkConfig()
     cfg = cfg or TrainConfig()
@@ -284,6 +284,8 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     out_dir = os.path.dirname(os.fspath(checkpoint_path)) or "."
     if not os.path.isdir(out_dir):
         raise TrainingError(f"checkpoint directory {out_dir} does not exist")
+    if os.path.isdir(checkpoint_path):
+        raise TrainingError(f"checkpoint path {checkpoint_path} is a directory")
     split_rng = np.random.Generator(np.random.PCG64(cfg.seed))
     train_idx, val_idx = split_tracks(len(tracks), cfg.val_fraction, split_rng)
 

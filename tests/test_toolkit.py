@@ -1,6 +1,7 @@
 """WAV I/O, synthesis, config parsing, dataset plumbing, and CLI tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,10 +376,10 @@ class TestPipeline:
         assert np.sum(perc**2) < np.sum(samples**2)
         assert np.sum(harm**2) < np.sum(samples**2)
 
-    def test_estimate_masks_batches_match_one_tile_at_a_time(self, tmp_path):
+    def test_estimate_masks_lone_patches_match_batch_of_one_forwards(self, tmp_path):
         model, stats, _ = small_checkpoint(tmp_path)
-        # 600 frames: five tiles, the last with 88 frames of padding, run
-        # as batches of four and one tile, so the last batch holds one tile
+        # 600 frames: five tiles, the last with 88 frames of padding, each
+        # run as a lone (1, 512, 128) patch against a (1, 1, 512, 128) batch
         spec = stft(np.random.default_rng(9).normal(size=599 * HOP - 100) * 0.1)
         assert spec.frames == 600
         mask_p, mask_h = estimate_masks(model, stats, spec)
@@ -391,6 +392,29 @@ class TestPipeline:
             tiles_h.append(mh.data[0, 0])
         np.testing.assert_array_equal(mask_p, np.hstack(tiles_p)[:, :600])
         np.testing.assert_array_equal(mask_h, np.hstack(tiles_h)[:, :600])
+
+    def test_estimate_masks_peak_memory_is_flat_in_tiles(self):
+        # one tile per forward: eight tiles may add to one tile's peak no
+        # more than twice their masks (the tile list and the joined copy)
+        net = NetworkConfig(growth_rate=4, layers_per_block=2, depth=2,
+                            final_block_layers=2)
+        model = MaskSeparator(net, seed=0)
+        stats = GlobalStats(min_val=0.0, max_val=3.0)
+        rng = np.random.default_rng(4)
+        specs = {n: stft(rng.normal(size=(n * PATCH_FRAMES - 1) * HOP - 100) * 0.1)
+                 for n in (1, 8)}
+        assert [s.frames for s in specs.values()] == [PATCH_FRAMES, 8 * PATCH_FRAMES]
+        estimate_masks(model, stats, specs[1])  # one-off allocations happen untraced
+        peaks = {}
+        for n, spec in specs.items():
+            tracemalloc.start()
+            try:
+                estimate_masks(model, stats, spec)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        mask_bytes = 2 * 8 * N_BINS * PATCH_FRAMES * 8  # both masks of 8 float64 tiles
+        assert peaks[8] <= peaks[1] + 2 * mask_bytes, peaks
 
 
 def write_synth_cfg(path, n_tracks=2, duration_s=1.6):
@@ -527,6 +551,28 @@ class TestCli:
             samples, rate = read_wav(out, allow_other_rate=True)
             assert rate == 22050 and samples.shape == (4410 + 37,)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["separate", "baseline"])
+    @pytest.mark.parametrize("out_p, out_h, message", [
+        ("p.wav", "nodir/h.wav", "cannot write {d}/nodir/h.wav: directory {d}/nodir does not exist"),
+        ("outdir", "h.wav", "cannot write {d}/outdir: it is a directory"),
+        ("same.wav", "same.wav", "--out-perc and --out-harm are the same file: {d}/same.wav"),
+    ], ids=["missing-directory", "is-directory", "same-file"])
+    def test_unwritable_outputs_refused_before_any_work(
+            self, command, out_p, out_h, message, tmp_path, monkeypatch, capsys):
+        def no_split(*args):
+            raise AssertionError("the input was split before the refusal")
+
+        monkeypatch.setattr(cli, "separate_samples", no_split)
+        monkeypatch.setattr(cli, "median_separate", no_split)
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.random.default_rng(6).normal(size=4410) * 0.1)
+        (tmp_path / "outdir").mkdir()
+        args = self.split_args(command, tmp_path, mix, tmp_path / out_p, tmp_path / out_h)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(args) == 1
+        assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @staticmethod
     def split_args(command, tmp_path, mix, out_p, out_h):
