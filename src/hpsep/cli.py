@@ -13,7 +13,7 @@ from pathlib import Path
 from .audio_io import read_wav, write_wav
 from .baseline import MedianConfig, median_separate
 from .config import load_run_config, load_synth_spec
-from .data import load_dataset, synth_track, write_dataset
+from .data import load_dataset, read_track, synth_track, track_ids, write_dataset
 from .metrics import evaluate_track, write_report
 from .network import MaskSeparator, load_checkpoint, param_count
 from .pipeline import separate_samples
@@ -22,15 +22,14 @@ from .training import train
 
 def _cmd_gen_data(args):
     spec = load_synth_spec(args.spec)
-    tracks = [synth_track(spec, i) for i in range(spec.n_tracks)]
-    manifest = write_dataset(tracks, args.out)
-    print(f"wrote {len(tracks)} tracks under {args.out} (manifest: {manifest})")
+    write_dataset((synth_track(spec, i) for i in range(spec.n_tracks)), args.out)
+    print(f"wrote {spec.n_tracks} tracks under {args.out}")
     return 0
 
 
 def _cmd_train(args):
     net_cfg, train_cfg = load_run_config(args.config)
-    dataset = load_dataset(args.data, layout=args.stems_layout)
+    dataset = load_dataset(args.data)
     pairs = [(mixture, drums) for _, mixture, drums in dataset]
     result = train(pairs, net_cfg, train_cfg, checkpoint_path=args.out)
     print(f"trained {result.epochs} epochs on {len(result.train_track_indices)} tracks "
@@ -42,17 +41,23 @@ def _cmd_train(args):
     return 0
 
 
-def _split_file(args, split):
-    """Write ``split(samples)``'s (percussive, harmonic) stems of ``args.infile``.
+def _check_writable(out):
+    """Refuse an output path whose directory is missing or that is a directory.
 
-    Both output paths are checked before the input is read or ``split`` runs,
-    so a path that cannot be written costs no work and leaves no stem behind.
+    Commands call this before they read any input, so a path that cannot
+    be written costs no work and leaves no partial output behind.
     """
-    for out in map(Path, (args.out_perc, args.out_harm)):
-        if not out.parent.is_dir():
-            raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
-        if out.is_dir():
-            raise ValueError(f"cannot write {out}: it is a directory")
+    out = Path(out)
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"cannot write {out}: it is a directory")
+
+
+def _split_file(args, split):
+    """Write ``split(samples)``'s (percussive, harmonic) stems of ``args.infile``."""
+    _check_writable(args.out_perc)
+    _check_writable(args.out_harm)
     if Path(args.out_perc).resolve() == Path(args.out_harm).resolve():
         raise ValueError(f"--out-perc and --out-harm are the same file: {args.out_perc}")
     samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
@@ -74,21 +79,18 @@ def _cmd_baseline(args):
 
 
 def _cmd_eval(args):
+    _check_writable(args.report)
     ref_root = Path(args.ref_dir)
     est_root = Path(args.est_dir)
-    ids = sorted(
-        d.name for d in ref_root.iterdir()
-        if d.is_dir() and (d / "drums.wav").exists() and (d / "other.wav").exists()
-    )
+    ids = track_ids(ref_root)
     if not ids:
-        raise FileNotFoundError(f"no track directories with stems under {ref_root}")
+        raise FileNotFoundError(f"no track directories with mixture.wav under {ref_root}")
     reports = []
     for tid in ids:
-        ref_p, _ = read_wav(ref_root / tid / "drums.wav", args.resample_off_ok)
-        ref_h, _ = read_wav(ref_root / tid / "other.wav", args.resample_off_ok)
+        mixture, drums = read_track(ref_root / tid, args.resample_off_ok)
         est_p, _ = read_wav(est_root / tid / "perc.wav", args.resample_off_ok)
         est_h, _ = read_wav(est_root / tid / "harm.wav", args.resample_off_ok)
-        reports.append(evaluate_track(est_p, est_h, ref_p, ref_h, track=tid))
+        reports.append(evaluate_track(est_p, est_h, drums, mixture - drums, track=tid))
     write_report(reports, args.report)
     mean_sdr = sum(r.average.sdr_db for r in reports) / len(reports)
     print(f"evaluated {len(reports)} tracks; mean average SDR {mean_sdr:.2f} dB")
@@ -116,13 +118,10 @@ def _build_parser():
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="fit the mask network on a stem dataset")
-    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--data", required=True,
+                   help="dataset directory of <id>/mixture.wav + <id>/drums.wav")
     p.add_argument("--config", default=None, help="run config (default: shipped)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--stems-layout", choices=("manifest", "musdb-wav"),
-                   default="manifest",
-                   help="manifest: follow manifest.tsv; musdb-wav: scan for "
-                   "directories holding mixture.wav + drums.wav")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("separate", help="split one mixture with a trained model")
@@ -149,7 +148,7 @@ def _build_parser():
     p.add_argument("--est-dir", required=True,
                    help="directory of <id>/perc.wav + <id>/harm.wav")
     p.add_argument("--ref-dir", required=True,
-                   help="dataset directory of <id>/drums.wav + <id>/other.wav")
+                   help="dataset directory of <id>/mixture.wav + <id>/drums.wav")
     p.add_argument("--report", required=True, help="output CSV path")
     p.add_argument("--resample-off-ok", action="store_true")
     p.set_defaults(func=_cmd_eval)

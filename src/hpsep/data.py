@@ -11,21 +11,19 @@ track_seed]) and is drawn exclusively through ``Generator.random`` with
 inverse-transform shaping, so a (seed, track_seed) pair yields the same
 track on any platform.
 
-On disk a dataset is one directory per track::
+On disk a dataset is one directory per track, the layout of a decoded
+MUSDB18 corpus::
 
     <root>/<id>/mixture.wav
     <root>/<id>/drums.wav      percussive stem
-    <root>/<id>/other.wav      harmonic remainder stem
-    <root>/manifest.tsv        id <TAB> duration_s <TAB> seed
 
-which is also the layout of a decoded MUSDB18-style corpus, so real
-stems can be dropped in via ``load_dataset(root, layout="musdb-wav")``
-(directory scan, no manifest needed).
+Its tracks are the subdirectories of the root that hold mixture.wav, in
+sorted order. The harmonic stem is never stored: training and
+evaluation alike take it as ``mixture - drums``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +37,9 @@ __all__ = [
     "SynthSpec",
     "synth_track",
     "write_dataset",
+    "track_ids",
+    "read_track",
     "load_dataset",
-    "read_manifest",
 ]
 
 NYQUIST = SAMPLE_RATE / 2.0
@@ -54,8 +53,6 @@ class Track:
     id: str
     mixture: np.ndarray
     stems: dict
-    duration_s: float
-    seed: int | None = None
 
     def __post_init__(self):
         if set(self.stems) != {"drums", "harmonic_rest"}:
@@ -190,79 +187,45 @@ def synth_track(spec, track_seed):
         id=f"track{track_seed:03d}",
         mixture=mixture,
         stems={"drums": perc, "harmonic_rest": harm},
-        duration_s=n / SAMPLE_RATE,
-        seed=track_seed,
     )
 
 
 def write_dataset(tracks, root):
-    """Write tracks and a manifest under root; returns the manifest path."""
+    """Write each track's mixture.wav and drums.wav under ``root/<id>/``.
+
+    A root that already holds a track is refused before anything is
+    written: a stale track left there would join the next training run.
+    """
     root = Path(root)
+    if root.is_dir() and track_ids(root):
+        raise ValueError(f"{root} already holds tracks; write the dataset to a new directory")
     root.mkdir(parents=True, exist_ok=True)
-    manifest = root / "manifest.tsv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        for track in tracks:
-            tdir = root / track.id
-            tdir.mkdir(exist_ok=True)
-            write_wav(tdir / "mixture.wav", track.mixture)
-            write_wav(tdir / "drums.wav", track.stems["drums"])
-            write_wav(tdir / "other.wav", track.stems["harmonic_rest"])
-            writer.writerow([track.id, f"{track.duration_s:.6f}",
-                             "" if track.seed is None else track.seed])
-    return manifest
+    for track in tracks:
+        tdir = root / track.id
+        tdir.mkdir(exist_ok=True)
+        write_wav(tdir / "mixture.wav", track.mixture)
+        write_wav(tdir / "drums.wav", track.stems["drums"])
 
 
-def read_manifest(path):
-    """Rows of (id, duration_s, seed-or-None); each id may appear once.
-
-    Training splits tracks by row, so a repeated id could put one track
-    on both sides of the train/validation split.
-    """
-    rows = []
-    seen = set()
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh, delimiter="\t"):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"manifest row needs 3 fields, got {row!r}")
-            if row[0] in seen:
-                raise ValueError(f"manifest {path} repeats track id {row[0]!r}")
-            seen.add(row[0])
-            rows.append((row[0], float(row[1]), int(row[2]) if row[2] else None))
-    return rows
+def track_ids(root):
+    """Sorted names of the subdirectories of ``root`` that hold mixture.wav."""
+    return sorted(d.name for d in Path(root).iterdir() if (d / "mixture.wav").is_file())
 
 
-def load_dataset(root, layout="manifest"):
-    """Load (id, mixture, drums) triples for training.
+def read_track(track_dir, allow_other_rate=False):
+    """(mixture, drums) samples of one track directory, of equal length."""
+    track_dir = Path(track_dir)
+    mixture, _ = read_wav(track_dir / "mixture.wav", allow_other_rate)
+    drums, _ = read_wav(track_dir / "drums.wav", allow_other_rate)
+    if len(mixture) != len(drums):
+        raise ValueError(f"{track_dir.name}: mixture and drums lengths differ")
+    return mixture, drums
 
-    layout="manifest" follows manifest.tsv; layout="musdb-wav" scans for
-    subdirectories holding mixture.wav + drums.wav, so any pre-decoded
-    WAV-stem corpus with those file names works without a manifest.
-    """
+
+def load_dataset(root):
+    """(id, mixture, drums) of every track under ``root``, in id order."""
     root = Path(root)
-    if layout == "manifest":
-        manifest = root / "manifest.tsv"
-        if not manifest.exists():
-            raise FileNotFoundError(
-                f"{manifest} not found (use layout='musdb-wav' for manifest-less dirs)"
-            )
-        ids = [row[0] for row in read_manifest(manifest)]
-    elif layout == "musdb-wav":
-        ids = sorted(
-            d.name for d in root.iterdir() if (d / "mixture.wav").exists()
-        )
-        if not ids:
-            raise FileNotFoundError(f"no track directories with mixture.wav under {root}")
-    else:
-        raise ValueError(f"unknown dataset layout {layout!r}")
-
-    out = []
-    for tid in ids:
-        mixture, _ = read_wav(root / tid / "mixture.wav")
-        drums, _ = read_wav(root / tid / "drums.wav")
-        if len(mixture) != len(drums):
-            raise ValueError(f"{tid}: mixture and drums lengths differ")
-        out.append((tid, mixture, drums))
-    return out
+    ids = track_ids(root)
+    if not ids:
+        raise FileNotFoundError(f"no track directories with mixture.wav under {root}")
+    return [(tid, *read_track(root / tid)) for tid in ids]

@@ -23,8 +23,8 @@ from hpsep.data import (
     SynthSpec,
     Track,
     load_dataset,
-    read_manifest,
     synth_track,
+    track_ids,
     write_dataset,
 )
 from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, normalize_values, stft
@@ -125,6 +125,13 @@ def truncated_wav(path):
     return path
 
 
+def write_track_dir(track_dir, mixture, drums):
+    """One dataset track directory: mixture.wav and drums.wav."""
+    track_dir.mkdir(parents=True)
+    write_wav(track_dir / "mixture.wav", mixture)
+    write_wav(track_dir / "drums.wav", drums)
+
+
 def quick_spec(**overrides):
     base = dict(n_tracks=2, duration_s=1.6, voices=2, partials=4)
     base.update(overrides)
@@ -180,20 +187,18 @@ class TestSynthesis:
     def test_track_validation(self):
         good = synth_track(quick_spec(), 0)
         with pytest.raises(ValueError, match="not the sum"):
-            Track(id="bad", mixture=good.mixture * 1.5, stems=good.stems,
-                  duration_s=good.duration_s)
+            Track(id="bad", mixture=good.mixture * 1.5, stems=good.stems)
         with pytest.raises(ValueError, match="stems"):
             Track(id="bad", mixture=good.mixture,
-                  stems={"drums": good.stems["drums"]}, duration_s=good.duration_s)
+                  stems={"drums": good.stems["drums"]})
 
 
 class TestDatasetIO:
     def test_write_then_load_roundtrip(self, tmp_path):
         tracks = [synth_track(quick_spec(), i) for i in range(2)]
-        manifest = write_dataset(tracks, tmp_path / "ds")
-        rows = read_manifest(manifest)
-        assert [r[0] for r in rows] == ["track000", "track001"]
-        assert rows[0][2] == 0 and rows[1][2] == 1
+        write_dataset(tracks, tmp_path / "ds")
+        assert sorted(p.name for p in (tmp_path / "ds" / "track000").iterdir()) == [
+            "drums.wav", "mixture.wav"]
         loaded = load_dataset(tmp_path / "ds")
         assert [tid for tid, _, _ in loaded] == ["track000", "track001"]
         for (tid, mixture, drums), track in zip(loaded, tracks):
@@ -202,28 +207,24 @@ class TestDatasetIO:
             np.testing.assert_allclose(mixture, track.mixture, atol=1e-6)
             np.testing.assert_allclose(drums, track.stems["drums"], atol=1e-6)
 
-    def test_musdb_wav_layout_scan(self, tmp_path):
-        tracks = [synth_track(quick_spec(), i) for i in range(2)]
-        write_dataset(tracks, tmp_path / "ds")
-        (tmp_path / "ds" / "manifest.tsv").unlink()
-        with pytest.raises(FileNotFoundError, match="manifest"):
-            load_dataset(tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds", layout="musdb-wav")
-        assert len(loaded) == 2
+    def test_tracks_are_sorted_directories_holding_a_mixture(self, tmp_path):
+        for tid in ("zeta", "alpha", "mid"):  # created out of order
+            write_track_dir(tmp_path / tid, np.zeros(64), np.zeros(64))
+        (tmp_path / "notes.txt").write_text("not a track")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "drums-only").mkdir()
+        write_wav(tmp_path / "drums-only" / "drums.wav", np.zeros(64))
+        assert track_ids(tmp_path) == ["alpha", "mid", "zeta"]
+        assert [tid for tid, _, _ in load_dataset(tmp_path)] == ["alpha", "mid", "zeta"]
 
-    def test_repeated_manifest_id_rejected(self, tmp_path):
-        # one track listed twice could land on both sides of the split
-        tracks = [synth_track(quick_spec(), i) for i in range(2)]
-        manifest = write_dataset(tracks, tmp_path / "ds")
-        manifest.write_text(manifest.read_text() + "track000\t1.000000\t0\n")
-        with pytest.raises(ValueError, match="repeats track id 'track000'"):
-            read_manifest(manifest)
-        with pytest.raises(ValueError, match="repeats track id 'track000'"):
-            load_dataset(tmp_path / "ds")
+    def test_empty_root_has_no_tracks(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no track directories"):
+            load_dataset(tmp_path)
 
-    def test_unknown_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="layout"):
-            load_dataset(tmp_path, layout="flac")
+    def test_unequal_lengths_rejected(self, tmp_path):
+        write_track_dir(tmp_path / "t0", np.zeros(64), np.zeros(63))
+        with pytest.raises(ValueError, match="t0: mixture and drums lengths differ"):
+            load_dataset(tmp_path)
 
 
 # The config surface: key -> (owning dataclass, type, a valid non-default
@@ -591,11 +592,9 @@ class TestCli:
     @staticmethod
     def eval_args(tmp_path, drums, other):
         """Write one reference track with half-mixture estimates; eval arguments."""
-        ref_dir, est_dir = tmp_path / "ref" / "t0", tmp_path / "est" / "t0"
-        ref_dir.mkdir(parents=True)
+        write_track_dir(tmp_path / "ref" / "t0", drums + other, drums)
+        est_dir = tmp_path / "est" / "t0"
         est_dir.mkdir(parents=True)
-        write_wav(ref_dir / "drums.wav", drums)
-        write_wav(ref_dir / "other.wav", other)
         write_wav(est_dir / "perc.wav", 0.5 * (drums + other))
         write_wav(est_dir / "harm.wav", 0.5 * (drums + other))
         return ["eval", "--est-dir", str(tmp_path / "est"), "--ref-dir",
@@ -617,6 +616,75 @@ class TestCli:
         assert "collinear" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("report, message", [
+        ("nodir/r.csv", "cannot write {d}/nodir/r.csv: directory {d}/nodir does not exist"),
+        ("outdir", "cannot write {d}/outdir: it is a directory"),
+    ], ids=["missing-directory", "is-directory"])
+    def test_eval_refuses_unwritable_report_before_scoring(
+            self, report, message, tmp_path, monkeypatch, capsys):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a track was scored before the refusal")
+
+        monkeypatch.setattr(cli, "evaluate_track", no_scoring)
+        track = np.sin(np.linspace(0.0, 200.0, 4410))
+        args = self.eval_args(tmp_path, 0.5 * track, track)
+        (tmp_path / "outdir").mkdir()
+        args[-1] = str(tmp_path / report)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(args) == 1
+        assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_eval_harmonic_reference_is_mixture_minus_drums(self, tmp_path, capsys):
+        # a four-stem track as MUSDB18 decodes it: the harmonic reference is
+        # everything but the drums, not other.wav alone
+        rng = np.random.default_rng(8)
+        drums, other, vocals = (rng.normal(size=4410) * 0.1 for _ in range(3))
+        mixture = drums + other + vocals
+        write_track_dir(tmp_path / "ref" / "t0", mixture, drums)
+        write_wav(tmp_path / "ref" / "t0" / "other.wav", other)
+        write_wav(tmp_path / "ref" / "t0" / "vocals.wav", vocals)
+        est_dir = tmp_path / "est" / "t0"
+        est_dir.mkdir(parents=True)
+        write_wav(est_dir / "perc.wav", drums)
+        write_wav(est_dir / "harm.wav", mixture - drums)
+        report = tmp_path / "report.csv"
+        assert cli.main(["eval", "--est-dir", str(tmp_path / "est"), "--ref-dir",
+                         str(tmp_path / "ref"), "--report", str(report)]) == 0
+        assert [float(r["sdr_db"]) for r in read_report(report)] == [100.0] * 3
+        capsys.readouterr()
+
+    def test_eval_rejects_unequal_reference_lengths(self, tmp_path, capsys):
+        track = np.sin(np.linspace(0.0, 200.0, 4410))
+        args = self.eval_args(tmp_path, 0.5 * track, track)
+        write_wav(tmp_path / "ref" / "t0" / "drums.wav", 0.5 * track[:-1])
+        assert cli.main(args) == 1
+        assert "hpsep: error: t0: mixture and drums lengths differ" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_gen_data_refuses_a_root_holding_tracks(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--spec", str(write_synth_cfg(tmp_path / "a.cfg", 3)),
+                         "--out", str(data_dir)]) == 0
+        before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+        assert cli.main(["gen-data", "--spec", str(write_synth_cfg(tmp_path / "b.cfg", 2)),
+                         "--out", str(data_dir)]) == 1
+        assert f"hpsep: error: {data_dir} already holds tracks" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
+
+    def test_train_refuses_a_track_without_drums(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--spec", str(write_synth_cfg(tmp_path / "synth.cfg")),
+                         "--out", str(data_dir)]) == 0
+        (data_dir / "track001" / "drums.wav").unlink()
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.main(["train", "--data", str(data_dir),
+                       "--config", str(write_run_cfg(tmp_path / "run.cfg")),
+                       "--out", str(ckpt)])
+        assert rc == 1
+        assert str(data_dir / "track001" / "drums.wav") in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_param_count_default_config(self, capsys):
         assert cli.main(["param-count"]) == 0
         printed = int(capsys.readouterr().out.strip())
@@ -628,7 +696,7 @@ class TestCli:
         assert cli.main(["gen-data", "--spec", str(spec_path),
                          "--out", str(data_dir)]) == 0
         assert (data_dir / "track000" / "mixture.wav").exists()
-        assert (data_dir / "track001" / "other.wav").exists()
+        assert (data_dir / "track001" / "drums.wav").exists()
 
         run_cfg = write_run_cfg(tmp_path / "run.cfg")
         ckpt = tmp_path / "model.ckpt"
@@ -702,8 +770,9 @@ class TestCli:
         # estimates equal to the references must hit the +100 dB caps
         est_dir = tmp_path / "est" / "track000"
         est_dir.mkdir(parents=True)
+        mixture, _ = read_wav(data_dir / "track000" / "mixture.wav")
         ref_p, _ = read_wav(data_dir / "track000" / "drums.wav")
-        ref_h, _ = read_wav(data_dir / "track000" / "other.wav")
+        ref_h = mixture - ref_p
         write_wav(est_dir / "perc.wav", ref_p)
         write_wav(est_dir / "harm.wav", ref_h)
         report = tmp_path / "self.csv"
