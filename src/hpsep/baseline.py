@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .dsp import N_BINS, apply_masks, stft
+from .dsp import apply_masks, stft
 
 __all__ = ["MedianConfig", "median_hpss", "median_separate"]
 
@@ -75,6 +75,5 @@ def median_separate(samples, cfg=None):
     Nothing here reads the sample rate; the outputs share the input's.
     """
     spec = stft(samples)
-    mag = np.abs(spec.values[:N_BINS])
-    mask_p, mask_h = median_hpss(mag, cfg)
+    mask_p, mask_h = median_hpss(spec.magnitude(), cfg)
     return apply_masks(mask_p, mask_h, spec)

@@ -85,6 +85,10 @@ def _cmd_eval(args):
     ids = track_ids(ref_root)
     if not ids:
         raise FileNotFoundError(f"no track directories with mixture.wav under {ref_root}")
+    missing = [est_root / tid / name for tid in ids for name in ("perc.wav", "harm.wav")
+               if not (est_root / tid / name).is_file()]
+    if missing:
+        raise FileNotFoundError(f"missing estimate {missing[0]} ({len(missing)} missing)")
     reports = []
     for tid in ids:
         mixture, drums = read_track(ref_root / tid, args.resample_off_ok)

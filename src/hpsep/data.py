@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import SAMPLE_RATE, read_wav, write_wav
+from .dsp import WIN_LENGTH
 
 __all__ = [
     "Track",
@@ -223,9 +224,17 @@ def read_track(track_dir, allow_other_rate=False):
 
 
 def load_dataset(root):
-    """(id, mixture, drums) of every track under ``root``, in id order."""
+    """(id, mixture, drums) of every track under ``root``, in id order.
+
+    A track shorter than one analysis window is refused by its id.
+    """
     root = Path(root)
     ids = track_ids(root)
     if not ids:
         raise FileNotFoundError(f"no track directories with mixture.wav under {root}")
-    return [(tid, *read_track(root / tid)) for tid in ids]
+    dataset = [(tid, *read_track(root / tid)) for tid in ids]
+    for tid, mixture, _ in dataset:
+        if len(mixture) < WIN_LENGTH:
+            raise ValueError(f"{tid}: {len(mixture)} samples, shorter than one "
+                             f"{WIN_LENGTH}-sample analysis window")
+    return dataset

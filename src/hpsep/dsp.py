@@ -6,16 +6,16 @@ windows sum to exactly 1 over the interior. Signals are zero-padded up
 to a hop multiple and then reflect-padded by half a window on both ends,
 so every retained sample is covered by at least two frames.
 
-Reconstruction is weighted overlap-add: the synthesis window is applied
-a second time and the accumulated signal is divided pointwise by the
-summed squared window. That normalizer stays >= 0.5 over the retained
-region, and analysis followed by synthesis is exact up to rounding.
+Reconstruction is weighted overlap-add. At 50% overlap every retained
+sample is two windowed half-frames, divided by one fixed pattern of HOP
+values, ``w[HOP:]**2 + w[:HOP]**2``, which is at least 0.5; analysis
+followed by synthesis is exact up to rounding.
 Window and hop are fixed (``WIN_LENGTH``, ``HOP``, ``hann_window``), so
 a Spectrogram carries only its values, sample rate and signal length.
 
 The rfft of a 1024-sample frame yields 513 bins. Spectrogram keeps all
-513 so inversion loses nothing; the network-facing magnitude patches use
-the first 512 (the top bin carries negligible music energy at 44.1 kHz).
+513 so inversion loses nothing; ``magnitude`` gives the network and the
+baseline the first 512 (the top bin has negligible energy at 44.1 kHz).
 When masks are applied, each 512-bin mask is edge-extended over the top
 bin, so complementary masks rebuild the mixture exactly.
 
@@ -55,7 +55,6 @@ WIN_LENGTH = 1024
 HOP = 512
 N_BINS = 512          # bins seen by the mask estimator
 PATCH_FRAMES = 128
-_NORM_FLOOR = 1e-8    # overlap-add normalizer floor, never active over retained samples
 
 
 def hann_window(length):
@@ -69,7 +68,8 @@ class Spectrogram:
     """Complex STFT, shape (WIN_LENGTH // 2 + 1, frames).
 
     ``orig_length`` records the sample count of the analyzed signal so
-    that inversion can trim the analysis padding exactly.
+    that inversion can trim the analysis padding exactly. Two frames cover
+    each of its samples, so it is at most ``(frames - 1) * HOP``.
     """
 
     values: np.ndarray
@@ -82,16 +82,18 @@ class Spectrogram:
                 f"expected ({WIN_LENGTH // 2 + 1}, frames) spectrogram, "
                 f"got shape {self.values.shape}"
             )
-        if self.orig_length < 1:
-            raise ValueError("orig_length must be positive")
+        covered = (self.frames - 1) * HOP
+        if not 1 <= self.orig_length <= covered:
+            raise ValueError(f"orig_length {self.orig_length} is not in 1..{covered}, "
+                             f"the samples that {self.frames} frames cover")
 
     @property
     def frames(self):
         return self.values.shape[1]
 
     def magnitude(self):
-        """Magnitude of all bins, shape (513, frames)."""
-        return np.abs(self.values)
+        """Magnitude of the network-facing bins, shape (512, frames)."""
+        return np.abs(self.values[:N_BINS])
 
 
 def stft(signal, sample_rate=44100):
@@ -120,23 +122,17 @@ def stft(signal, sample_rate=44100):
 def istft(spec):
     """Invert a Spectrogram by weighted overlap-add.
 
-    Applies the synthesis window, accumulates frames, divides by the
-    summed squared window, and trims the analysis padding. Output length
-    equals ``spec.orig_length``.
+    Retained sample k * HOP + j is frame k's second half plus frame k + 1's
+    first half at offset j, both windowed, over the same two halves of the
+    squared window. Output length equals ``spec.orig_length``.
     """
-    frames = spec.frames
     window = hann_window(WIN_LENGTH)
-    time_frames = np.fft.irfft(spec.values.T, n=WIN_LENGTH, axis=1) * window
-    total = (frames - 1) * HOP + WIN_LENGTH
-    acc = np.zeros(total)
-    norm = np.zeros(total)
+    frames = np.fft.irfft(spec.values.T, n=WIN_LENGTH, axis=1)
+    frames *= window
+    acc = frames[:-1, HOP:] + frames[1:, :HOP]
     w2 = window * window
-    for t in range(frames):
-        s = t * HOP
-        acc[s : s + WIN_LENGTH] += time_frames[t]
-        norm[s : s + WIN_LENGTH] += w2
-    rec = acc / np.maximum(norm, _NORM_FLOOR)
-    return rec[HOP : HOP + spec.orig_length]
+    acc /= w2[HOP:] + w2[:HOP]
+    return acc.reshape(-1)[: spec.orig_length]
 
 
 @dataclass

@@ -122,12 +122,19 @@ def sdr_sir_sar(s_target, e_interf, e_artif):
     return sdr, sir, sar
 
 
+def _source_scores(track, source, estimate, refs):
+    try:
+        return SourceScores(*sdr_sir_sar(*decompose(estimate, refs)))
+    except ValueError as exc:
+        raise ValueError(f"{track} {source}: {exc}") from None
+
+
 def evaluate_track(est_perc, est_harm, ref_perc, ref_harm, track="track"):
-    """Score both estimated sources against their references."""
+    """Score both estimated sources; an error names the track and source."""
     ref_p = np.asarray(ref_perc, dtype=np.float64)
     ref_h = np.asarray(ref_harm, dtype=np.float64)
-    perc = SourceScores(*sdr_sir_sar(*decompose(est_perc, (ref_p, ref_h))))
-    harm = SourceScores(*sdr_sir_sar(*decompose(est_harm, (ref_h, ref_p))))
+    perc = _source_scores(track, "percussive", est_perc, (ref_p, ref_h))
+    harm = _source_scores(track, "harmonic", est_harm, (ref_h, ref_p))
     avg = SourceScores(
         sdr_db=0.5 * (perc.sdr_db + harm.sdr_db),
         sir_db=0.5 * (perc.sir_db + harm.sir_db),

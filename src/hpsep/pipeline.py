@@ -10,14 +10,7 @@ applied to the mixture spectrogram with its original phase.
 
 from __future__ import annotations
 
-from .dsp import (
-    N_BINS,
-    apply_masks,
-    depatchify,
-    normalize_values,
-    patchify,
-    stft,
-)
+from .dsp import apply_masks, depatchify, normalize_values, patchify, stft
 
 __all__ = ["separate_samples", "estimate_masks"]
 
@@ -26,7 +19,7 @@ def estimate_masks(model, stats, spec):
     """(mask_perc, mask_harm), each (512, frames), for a Spectrogram."""
     masks_p = []
     masks_h = []
-    for tile in patchify(spec.magnitude()[:N_BINS]):
+    for tile in patchify(spec.magnitude()):
         mp, mh = model.forward(normalize_values(tile.values, stats)[None], training=False)
         masks_p.append(mp.data[0])
         masks_h.append(mh.data[0])

@@ -497,7 +497,9 @@ def transposed_conv2(x, weight, bias):
     """2x2 stride-2 transposed convolution: exact spatial doubling.
 
     weight: (C_in, C_out, 2, 2). Adjoint of a stride-2 2x2 convolution, so
-    output taps never overlap.
+    output taps never overlap: the op is one 1x1 GEMM of the
+    (C_in, 4*C_out) weight matrix into four planes per output channel,
+    then a depth-to-space reshape (Shi et al. 2016, arXiv:1609.05158).
     """
     xb = _maps(x.data)
     w = weight.data
@@ -512,29 +514,18 @@ def transposed_conv2(x, weight, bias):
 
     n, _, h, wd = xb.shape
     need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
-    out = np.empty((n, c_out, 2 * h, 2 * wd), dtype=xb.dtype)
-    out[:] = b[None, :, None, None]
-    for a in (0, 1):
-        for c in (0, 1):
-            out[:, :, a::2, c::2] += np.tensordot(
-                xb, w[:, :, a, c], axes=([1], [0])
-            ).transpose(0, 3, 1, 2)
+    wm = w.reshape(c_in, 4 * c_out)
+    xm = xb.reshape(n, c_in, h * wd)
+    out = (wm.T @ xm).reshape(n, c_out, 2, 2, h, wd).transpose(0, 1, 4, 2, 5, 3)
+    out = out.reshape(n, c_out, 2 * h, 2 * wd)
+    out += b[:, None, None]
 
     def fn(g):
-        dx = dw = db = None
-        if need_db:
-            db = g.sum(axis=(0, 2, 3))
-        if need_dw:
-            dw = np.empty_like(w)
-        if need_dx:
-            dx = np.zeros_like(xb)
-        for a in (0, 1):
-            for c in (0, 1):
-                gs = g[:, :, a::2, c::2]
-                if need_dw:
-                    dw[:, :, a, c] = np.tensordot(xb, gs, axes=([0, 2, 3], [0, 2, 3]))
-                if need_dx:
-                    dx += np.tensordot(gs, w[:, :, a, c], axes=([1], [1])).transpose(0, 3, 1, 2)
+        gm = g.reshape(n, c_out, h, 2, wd, 2).transpose(0, 1, 3, 5, 2, 4)
+        gm = gm.reshape(n, 4 * c_out, h * wd)
+        dx = (wm @ gm).reshape(xb.shape) if need_dx else None
+        dw = (xm @ gm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if need_dw else None
+        db = g.sum(axis=(0, 2, 3)) if need_db else None
         return (dx, dw, db)
 
     return _record(out, (x, weight, bias), fn, "transposed_conv2")

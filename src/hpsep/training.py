@@ -215,7 +215,7 @@ def make_ground_truth(mix, drums):
         raise ValueError(f"length mismatch: mix {mix.shape}, drums {drums.shape}")
     harmonic = mix - drums
     tiles = [
-        patchify(stft(samples).magnitude()[:N_BINS])
+        patchify(stft(samples).magnitude())
         for samples in (mix, drums, harmonic)
     ]
     return [Example(x=px, p=pp, h=ph) for px, pp, ph in zip(*tiles)]

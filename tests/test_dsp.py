@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,8 @@ class TestWindowAndFraming:
         np.testing.assert_allclose(interior, 1.0, atol=1e-12)
 
     def test_wola_normalizer_bounded_below(self, rng):
-        # the squared-window normalizer used by istft never dips below the
-        # documented floor over retained samples (it is >= 0.5 there)
+        # over retained samples the summed squared window is the HOP-value
+        # pattern w2[HOP:] + w2[:HOP], repeated, and never below 0.5
         x = rng.standard_normal(SR + 333)
         spec = stft(x, SR)
         w2 = hann_window(WIN_LENGTH) ** 2
@@ -54,8 +56,9 @@ class TestWindowAndFraming:
         for t in range(spec.frames):
             norm[t * HOP : t * HOP + WIN_LENGTH] += w2
         retained = norm[HOP : HOP + spec.orig_length]
-        assert retained.min() >= 0.499
-        assert retained.min() >= 1e-8
+        pattern = w2[HOP:] + w2[:HOP]
+        np.testing.assert_array_equal(retained, np.tile(pattern, spec.frames)[: spec.orig_length])
+        assert pattern.min() >= 0.5
 
     def test_frame_count_covers_signal(self):
         n = 66150  # 1.5 s
@@ -110,6 +113,39 @@ class TestRoundTrip:
     def test_zero_roundtrip(self):
         y = istft(stft(np.zeros(3 * HOP), SR))
         np.testing.assert_array_equal(y, np.zeros(3 * HOP))
+
+    @staticmethod
+    def overlap_add(spec):
+        """Weighted overlap-add one frame at a time, over full-length buffers."""
+        window = hann_window(WIN_LENGTH)
+        frames = np.fft.irfft(spec.values.T, n=WIN_LENGTH, axis=1) * window
+        acc = np.zeros((spec.frames - 1) * HOP + WIN_LENGTH)
+        norm = np.zeros_like(acc)
+        for t in range(spec.frames):
+            acc[t * HOP : t * HOP + WIN_LENGTH] += frames[t]
+            norm[t * HOP : t * HOP + WIN_LENGTH] += window * window
+        retained = slice(HOP, HOP + spec.orig_length)
+        return acc[retained] / norm[retained]
+
+    @pytest.mark.parametrize("length", [WIN_LENGTH, 5 * HOP + 311, 2 * SR + 1])
+    def test_istft_equals_frame_by_frame_overlap_add(self, rng, length):
+        spec = stft(rng.standard_normal(length), SR)
+        spec.values *= rng.random(spec.values.shape)  # not a consistent STFT
+        np.testing.assert_array_equal(istft(spec), self.overlap_add(spec))
+
+    def test_istft_peak_memory(self, rng):
+        # the frame stack plus the half-frame sums, 2.0 stacks; a per-frame
+        # loop into full-length sum and normalizer buffers, after a windowed
+        # copy of the stack, peaks at 3.0
+        spec = stft(rng.standard_normal(30 * SR), SR)
+        stack = spec.frames * WIN_LENGTH * 8
+        tracemalloc.start()
+        try:
+            istft(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * stack
 
 
 class TestPatchify:
@@ -274,3 +310,9 @@ class TestSpectrogramValidation:
     def test_bad_orig_length_rejected(self):
         with pytest.raises(ValueError, match="orig_length"):
             Spectrogram(np.zeros((513, 4), dtype=complex), sample_rate=SR, orig_length=0)
+
+    def test_orig_length_beyond_frames_rejected(self):
+        values = np.zeros((513, 4), dtype=complex)
+        assert istft(Spectrogram(values, sample_rate=SR, orig_length=3 * HOP)).shape == (3 * HOP,)
+        with pytest.raises(ValueError, match=r"orig_length 1537 is not in 1\.\.1536"):
+            Spectrogram(values, sample_rate=SR, orig_length=3 * HOP + 1)

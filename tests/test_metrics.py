@@ -143,6 +143,16 @@ class TestEvaluateTrack:
             0.5 * (rep.percussive.sdr_db + rep.harmonic.sdr_db)
         )
 
+    def test_errors_name_track_and_source(self):
+        t, o = disjoint_refs()
+        with pytest.raises(ValueError,
+                           match=r"^track001 harmonic: length mismatch: estimate \(1199,\)"):
+            evaluate_track(t, o[:-1], t, o, track="track001")
+        with pytest.raises(ValueError, match="^track002 percussive: zero-energy reference$"):
+            evaluate_track(t, o, np.zeros_like(t), o, track="track002")
+        with pytest.raises(ValueError, match="^track003 percussive: references are collinear"):
+            evaluate_track(t, o, t, 2.0 * t, track="track003")
+
 
 class TestReportCsv:
     def test_roundtrip(self, tmp_path, rng):

@@ -729,6 +729,36 @@ class TestTransposedConv2:
 
         assert_gradients_match(loss, [x, w, b], names=["x", "w", "b"])
 
+    @staticmethod
+    def per_tap(x, w, b, g):
+        """The op as four separate taps: output and (dx, dw, db) for ``g``."""
+        n, _, h, wd = x.shape
+        out = np.empty((n, w.shape[1], 2 * h, 2 * wd))
+        out[:] = b[None, :, None, None]
+        dx = np.zeros_like(x)
+        dw = np.empty_like(w)
+        for a in (0, 1):
+            for c in (0, 1):
+                out[:, :, a::2, c::2] += np.tensordot(
+                    x, w[:, :, a, c], axes=([1], [0])
+                ).transpose(0, 3, 1, 2)
+                gs = g[:, :, a::2, c::2]
+                dw[:, :, a, c] = np.tensordot(x, gs, axes=([0, 2, 3], [0, 2, 3]))
+                dx += np.tensordot(gs, w[:, :, a, c], axes=([1], [1])).transpose(0, 3, 1, 2)
+        return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+    def test_matches_per_tap_loops(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4, 2, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        g = rng.standard_normal((2, 4, 8, 10))
+        out, dx, dw, db = self.per_tap(x.data, w.data, b.data, g)
+        y = transposed_conv2(x, w, b)
+        np.testing.assert_array_equal(y.data, out)
+        (y * g).sum().backward()
+        for got, want in ((x.grad, dx), (w.grad, dw), (b.grad, db)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self, rng):

@@ -27,7 +27,7 @@ from hpsep.data import (
     track_ids,
     write_dataset,
 )
-from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, normalize_values, stft
+from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, WIN_LENGTH, normalize_values, stft
 from hpsep.network import MaskSeparator, NetworkConfig, save_checkpoint
 from hpsep.training import TrainConfig
 from hpsep.dsp import GlobalStats
@@ -209,7 +209,7 @@ class TestDatasetIO:
 
     def test_tracks_are_sorted_directories_holding_a_mixture(self, tmp_path):
         for tid in ("zeta", "alpha", "mid"):  # created out of order
-            write_track_dir(tmp_path / tid, np.zeros(64), np.zeros(64))
+            write_track_dir(tmp_path / tid, np.zeros(WIN_LENGTH), np.zeros(WIN_LENGTH))
         (tmp_path / "notes.txt").write_text("not a track")
         (tmp_path / "empty").mkdir()
         (tmp_path / "drums-only").mkdir()
@@ -224,6 +224,12 @@ class TestDatasetIO:
     def test_unequal_lengths_rejected(self, tmp_path):
         write_track_dir(tmp_path / "t0", np.zeros(64), np.zeros(63))
         with pytest.raises(ValueError, match="t0: mixture and drums lengths differ"):
+            load_dataset(tmp_path)
+
+    def test_track_shorter_than_a_window_rejected_by_id(self, tmp_path):
+        write_track_dir(tmp_path / "track000", np.zeros(WIN_LENGTH), np.zeros(WIN_LENGTH))
+        write_track_dir(tmp_path / "track001", np.zeros(500), np.zeros(500))
+        with pytest.raises(ValueError, match="^track001: 500 samples, shorter than one 1024"):
             load_dataset(tmp_path)
 
 
@@ -634,6 +640,27 @@ class TestCli:
         assert cli.main(args) == 1
         assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_eval_refuses_missing_estimates_before_scoring(self, tmp_path, monkeypatch, capsys):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a track was scored before the refusal")
+
+        monkeypatch.setattr(cli, "evaluate_track", no_scoring)
+        track = np.sin(np.linspace(0.0, 200.0, 4410))
+        est = tmp_path / "est"
+        for tid in ("t0", "t1", "t2"):
+            write_track_dir(tmp_path / "ref" / tid, 1.5 * track, 0.5 * track)
+            (est / tid).mkdir(parents=True)
+            write_wav(est / tid / "perc.wav", 0.5 * track)
+            write_wav(est / tid / "harm.wav", track)
+        (est / "t1" / "harm.wav").unlink()
+        (est / "t2" / "perc.wav").unlink()
+        report = tmp_path / "report.csv"
+        assert cli.main(["eval", "--est-dir", str(est), "--ref-dir", str(tmp_path / "ref"),
+                         "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert f"hpsep: error: missing estimate {est}/t1/harm.wav (2 missing)" in err
+        assert not report.exists()
 
     def test_eval_harmonic_reference_is_mixture_minus_drums(self, tmp_path, capsys):
         # a four-stem track as MUSDB18 decodes it: the harmonic reference is
