@@ -8,7 +8,7 @@ synthetic data generator, and a command line front end.
 
 __version__ = "0.1.0"
 
-from hpsep.baseline import MedianConfig, median_separate
+from hpsep.baseline import median_separate
 from hpsep.data import SynthSpec, load_dataset, synth_track, write_dataset
 from hpsep.dsp import GlobalStats, Spectrogram, istft, stft
 from hpsep.metrics import EvalReport, evaluate_track, write_report
@@ -25,7 +25,6 @@ __all__ = [
     "EvalReport",
     "GlobalStats",
     "MaskSeparator",
-    "MedianConfig",
     "NetworkConfig",
     "Spectrogram",
     "SynthSpec",

@@ -6,42 +6,27 @@ across time flattens the stripes and keeps the ridges; a median across
 frequency does the opposite. The two filtered power spectrograms yield
 complementary Wiener-style soft masks with power 2.
 
-This classical method needs no training and serves as the reference
-point the learned separator is compared against.
+Both medians span 17 bins or frames, the lengths of FitzGerald's
+median-filtering separation (DAFx 2010). This classical method needs no
+training and serves as the reference point the learned separator is
+compared against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .dsp import apply_masks, stft
 
-__all__ = ["MedianConfig", "median_hpss", "median_separate"]
+__all__ = ["L_HARM", "L_PERC", "median_hpss", "median_separate"]
 
+L_HARM = 17  # median length along time, frames (harmonic enhancement)
+L_PERC = 17  # median length along frequency, bins (percussive enhancement)
 _EPS = 1e-12  # added to the mask denominator, half of it to each numerator
 
 
-@dataclass
-class MedianConfig:
-    """Median filter lengths along time (harmonic) and frequency (percussive).
-
-    A length of 1 turns that direction's median into the identity, which
-    disables the corresponding enhancement; useful for diagnostics.
-    """
-
-    l_harm: int = 17
-    l_perc: int = 17
-
-    def __post_init__(self):
-        for name, val in (("l_harm", self.l_harm), ("l_perc", self.l_perc)):
-            if val < 1 or val % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 1, got {val}")
-
-
-def median_hpss(mag, cfg=None):
+def median_hpss(mag):
     """Percussive and harmonic masks from median-filtered power spectrograms.
 
     The squared magnitude is median-filtered along time (harmonic
@@ -50,7 +35,6 @@ def median_hpss(mag, cfg=None):
     share one denominator, so they sum to 1 everywhere; ``_EPS`` keeps it
     positive and splits the energy evenly where both envelopes vanish.
     """
-    cfg = cfg or MedianConfig()
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2:
         raise ValueError(f"expected a 2-D magnitude matrix, got shape {mag.shape}")
@@ -58,8 +42,8 @@ def median_hpss(mag, cfg=None):
         raise ValueError("magnitude input must be nonnegative")
 
     power_spec = mag * mag
-    harm_env = ndimage.median_filter(power_spec, size=(1, cfg.l_harm), mode="reflect")
-    perc_env = ndimage.median_filter(power_spec, size=(cfg.l_perc, 1), mode="reflect")
+    harm_env = ndimage.median_filter(power_spec, size=(1, L_HARM), mode="reflect")
+    perc_env = ndimage.median_filter(power_spec, size=(L_PERC, 1), mode="reflect")
 
     pp = perc_env**2
     hh = harm_env**2
@@ -68,12 +52,12 @@ def median_hpss(mag, cfg=None):
     return (pp + half) / denom, (hh + half) / denom
 
 
-def median_separate(samples, cfg=None):
+def median_separate(samples):
     """Full baseline pipeline: analyze, mask, resynthesize.
 
     Returns (percussive, harmonic) waveforms with the input's length.
     Nothing here reads the sample rate; the outputs share the input's.
     """
     spec = stft(samples)
-    mask_p, mask_h = median_hpss(spec.magnitude(), cfg)
+    mask_p, mask_h = median_hpss(spec.magnitude())
     return apply_masks(mask_p, mask_h, spec)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
-from .baseline import MedianConfig, median_separate
+from .baseline import median_separate
 from .config import load_run_config, load_synth_spec
 from .data import load_dataset, read_track, synth_track, track_ids, write_dataset
 from .metrics import evaluate_track, write_report
@@ -28,6 +28,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    _check_writable(args.out)
     net_cfg, train_cfg = load_run_config(args.config)
     dataset = load_dataset(args.data)
     pairs = [(mixture, drums) for _, mixture, drums in dataset]
@@ -74,8 +75,7 @@ def _cmd_separate(args):
 
 
 def _cmd_baseline(args):
-    cfg = MedianConfig(l_harm=args.l_harm, l_perc=args.l_perc)
-    return _split_file(args, lambda samples: median_separate(samples, cfg))
+    return _split_file(args, median_separate)
 
 
 def _cmd_eval(args):
@@ -141,10 +141,6 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True, metavar="WAV")
     p.add_argument("--out-perc", required=True, metavar="WAV")
     p.add_argument("--out-harm", required=True, metavar="WAV")
-    p.add_argument("--l-harm", type=int, default=MedianConfig.l_harm,
-                   help="median length along time")
-    p.add_argument("--l-perc", type=int, default=MedianConfig.l_perc,
-                   help="median length along frequency")
     p.add_argument("--resample-off-ok", action="store_true")
     p.set_defaults(func=_cmd_baseline)
 

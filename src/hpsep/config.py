@@ -2,22 +2,22 @@
 
 One statement per line, `#` starts a whole-line comment, blank lines are
 ignored. Keys not in the schema are errors (typo protection), as are
-duplicates. Keys left out fall back to the built-in defaults, so a config
+duplicates. Keys left out fall back to the dataclass defaults, so a config
 only needs the values it changes.
 
 Each setting is declared once, as a dataclass field: the keys are the
 fields whose default is an int or a float, parsed with the default's
-type. The run config (RUN_SCHEMA) holds those of NetworkConfig and
-TrainConfig, the synthesis spec (SYNTH_SCHEMA) those of SynthSpec. A
-field of another type, such as ``NetworkConfig.branch_kernels``, needs
-a parser before it can be a key. The packaged ``default.cfg`` holds the
-shipped run config.
+type, and a float must be finite. The run config (RUN_SCHEMA) holds
+those of NetworkConfig and TrainConfig, whose defaults are the shipped
+run config; the synthesis spec (SYNTH_SCHEMA) holds those of SynthSpec.
+A field of another type, such as ``NetworkConfig.branch_kernels``, needs
+a parser before it can be a key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
-from importlib import resources
 from pathlib import Path
 
 from .data import SynthSpec
@@ -31,7 +31,6 @@ __all__ = [
     "parse_config_text",
     "load_run_config",
     "load_synth_spec",
-    "default_config_text",
 ]
 
 
@@ -83,28 +82,28 @@ def _load(text, schema, classes):
     for key, value in parse_config_text(text, schema.keys()).items():
         cls, target_type = schema[key]
         try:
-            kwargs[cls][key] = target_type(value)
+            parsed = target_type(value)
         except ValueError as exc:
             raise ConfigError(
                 f"key {key!r}: cannot parse {value!r} as {target_type.__name__}"
             ) from exc
+        if target_type is float and not math.isfinite(parsed):
+            raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
+        kwargs[cls][key] = parsed
     try:
         return tuple(cls(**kwargs[cls]) for cls in classes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def default_config_text():
-    return resources.files("hpsep").joinpath("default.cfg").read_text()
-
-
 def load_run_config(path=None):
     """(NetworkConfig, TrainConfig) from a run config file.
 
-    path=None loads the packaged default.cfg.
+    path=None gives the shipped defaults, ``(NetworkConfig(), TrainConfig())``.
     """
-    text = default_config_text() if path is None else Path(path).read_text()
-    return _load(text, RUN_SCHEMA, (NetworkConfig, TrainConfig))
+    if path is None:
+        return NetworkConfig(), TrainConfig()
+    return _load(Path(path).read_text(), RUN_SCHEMA, (NetworkConfig, TrainConfig))
 
 
 def load_synth_spec(path):

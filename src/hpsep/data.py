@@ -6,6 +6,11 @@ built around: the harmonic stem is a sum of sustained partial stacks
 decaying noise bursts (vertical stripes). The mixture is always exactly
 the sum of the two stored stems.
 
+A SynthSpec sets the corpus (seed, track count and length) and how
+many voices and partials each track holds. The rest of a track's shape
+is fixed by the module constants below: the fundamental range, partial
+rolloff, envelope, onset rate, burst decay and high-band emphasis.
+
 Randomness comes from PCG64 seeded with SeedSequence([corpus_seed,
 track_seed]) and is drawn exclusively through ``Generator.random`` with
 inverse-transform shaping, so a (seed, track_seed) pair yields the same
@@ -46,6 +51,15 @@ __all__ = [
 NYQUIST = SAMPLE_RATE / 2.0
 _PEAK_TARGET = 0.9
 
+F0_MIN_HZ = 80.0  # fundamentals are log-uniform in [F0_MIN_HZ, F0_MAX_HZ]
+F0_MAX_HZ = 660.0
+PARTIAL_ROLLOFF = 1.0  # partial k has amplitude k ** -PARTIAL_ROLLOFF
+ATTACK_S = 0.2  # linear fade-in and fade-out of each voice
+RELEASE_S = 0.4
+ONSET_RATE_HZ = 2.5  # mean rate of the Poisson burst onsets
+BURST_DECAY_MS = 45.0  # exponential time constant of each burst
+BAND_EMPHASIS = 0.35  # share of first-differenced (brightened) noise in a burst
+
 
 @dataclass
 class Track:
@@ -70,23 +84,13 @@ class Track:
 
 @dataclass
 class SynthSpec:
-    """Knobs for the generator; every field maps to one config key."""
+    """The corpus to render; every field maps to one config key."""
 
     seed: int = 0
     n_tracks: int = 10
     duration_s: float = 10.0
-    f0_min_hz: float = 80.0
-    f0_max_hz: float = 660.0
     voices: int = 3
     partials: int = 8
-    partial_rolloff: float = 1.0
-    attack_s: float = 0.2
-    release_s: float = 0.4
-    onset_rate_hz: float = 2.5
-    burst_decay_ms: float = 45.0
-    band_emphasis: float = 0.35
-    gain_harm: float = 1.0
-    gain_perc: float = 1.0
 
     def __post_init__(self):
         if self.seed < 0:
@@ -95,27 +99,13 @@ class SynthSpec:
             raise ValueError("n_tracks must be >= 1")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if not 0 < self.f0_min_hz <= self.f0_max_hz:
-            raise ValueError("need 0 < f0_min_hz <= f0_max_hz")
         if self.voices < 1 or self.partials < 1:
             raise ValueError("voices and partials must be >= 1")
-        if self.f0_max_hz * self.partials >= NYQUIST:
+        if F0_MAX_HZ * self.partials >= NYQUIST:
             raise ValueError(
-                f"highest partial {self.f0_max_hz * self.partials:.0f} Hz would alias "
+                f"highest partial {F0_MAX_HZ * self.partials:.0f} Hz would alias "
                 f"(Nyquist {NYQUIST:.0f} Hz)"
             )
-        if self.partial_rolloff < 0:
-            raise ValueError("partial_rolloff must be nonnegative")
-        if self.attack_s < 0 or self.release_s < 0:
-            raise ValueError("envelope times must be nonnegative")
-        if self.onset_rate_hz <= 0:
-            raise ValueError("onset_rate_hz must be positive")
-        if self.burst_decay_ms <= 0:
-            raise ValueError("burst_decay_ms must be positive")
-        if not 0.0 <= self.band_emphasis <= 1.0:
-            raise ValueError("band_emphasis must be in [0, 1]")
-        if self.gain_harm < 0 or self.gain_perc < 0:
-            raise ValueError("mix gains must be nonnegative")
 
 
 def _uniform(rng, lo, hi):
@@ -125,44 +115,39 @@ def _uniform(rng, lo, hi):
 def _harmonic_stem(spec, rng, n):
     t = np.arange(n) / SAMPLE_RATE
     duration = n / SAMPLE_RATE
+    env = np.clip(np.minimum(t / ATTACK_S, (duration - t) / RELEASE_S), 0.0, 1.0)
     out = np.zeros(n)
     for _ in range(spec.voices):
         # log-uniform fundamental keeps low and high registers equally likely
-        f0 = spec.f0_min_hz * (spec.f0_max_hz / spec.f0_min_hz) ** rng.random()
+        f0 = F0_MIN_HZ * (F0_MAX_HZ / F0_MIN_HZ) ** rng.random()
         tone = np.zeros(n)
         for k in range(1, spec.partials + 1):
             phase = 2.0 * math.pi * rng.random()
-            tone += math.pow(k, -spec.partial_rolloff) * np.sin(
+            tone += math.pow(k, -PARTIAL_ROLLOFF) * np.sin(
                 2.0 * math.pi * k * f0 * t + phase
             )
-        env = np.ones(n)
-        if spec.attack_s > 0:
-            env = np.minimum(env, t / spec.attack_s)
-        if spec.release_s > 0:
-            env = np.minimum(env, (duration - t) / spec.release_s)
-        out += _uniform(rng, 0.5, 1.0) * tone * np.clip(env, 0.0, 1.0)
+        out += _uniform(rng, 0.5, 1.0) * tone * env
     return out / spec.voices
 
 
-def _percussive_stem(spec, rng, n):
+def _percussive_stem(rng, n):
     out = np.zeros(n)
-    tau = spec.burst_decay_ms / 1000.0
+    tau = BURST_DECAY_MS / 1000.0
     burst_len = max(8, int(round(6.0 * tau * SAMPLE_RATE)))
     decay = np.exp(-np.arange(burst_len) / (tau * SAMPLE_RATE))
     pos = 0.0
     while True:
         # exponential gaps via inverse transform of a uniform draw
-        pos += -math.log(1.0 - rng.random()) / spec.onset_rate_hz
+        pos += -math.log(1.0 - rng.random()) / ONSET_RATE_HZ
         start = int(round(pos * SAMPLE_RATE))
         if start >= n:
             break
         length = min(burst_len, n - start)
         noise = 2.0 * rng.random(length) - 1.0
-        if spec.band_emphasis > 0.0:
-            bright = np.empty_like(noise)
-            bright[0] = noise[0]
-            bright[1:] = noise[1:] - noise[:-1]
-            noise = (1.0 - spec.band_emphasis) * noise + spec.band_emphasis * bright
+        bright = np.empty_like(noise)
+        bright[0] = noise[0]
+        bright[1:] = noise[1:] - noise[:-1]
+        noise = (1.0 - BAND_EMPHASIS) * noise + BAND_EMPHASIS * bright
         out[start : start + length] += _uniform(rng, 0.4, 1.0) * noise * decay[:length]
     return out
 
@@ -174,8 +159,8 @@ def synth_track(spec, track_seed):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, track_seed])))
     n = int(round(spec.duration_s * SAMPLE_RATE))
 
-    harm = spec.gain_harm * _harmonic_stem(spec, rng, n)
-    perc = spec.gain_perc * _percussive_stem(spec, rng, n)
+    harm = _harmonic_stem(spec, rng, n)
+    perc = _percussive_stem(rng, n)
     peak = float(np.max(np.abs(harm + perc), initial=0.0))
     if peak > 0.0:
         # small safety factor keeps the post-sum peak under target despite rounding

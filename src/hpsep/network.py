@@ -45,6 +45,7 @@ from .tensor import RunningStats, Tensor
 
 __all__ = [
     "BRANCH_KERNELS",
+    "LEAKY_ALPHA",
     "NetworkConfig",
     "ParamStore",
     "CompositeLayer",
@@ -57,11 +58,17 @@ __all__ = [
 ]
 
 BRANCH_KERNELS = ((3, 3), (13, 1), (1, 13))
+LEAKY_ALPHA = 0.01  # negative slope of the fusion block's LeakyReLU
 
 
 @dataclass
 class NetworkConfig:
-    """Architecture hyperparameters shared by all three branches."""
+    """Architecture hyperparameters shared by all three branches.
+
+    The int fields are run-config keys. ``branch_kernels`` has no config
+    parser yet, and the fusion block's LeakyReLU slope is the constant
+    ``LEAKY_ALPHA``.
+    """
 
     # Sized so the trainable parameter count lands near 555k (acceptance
     # criterion 3 and the param-count CLI command pin it). At these values
@@ -70,15 +77,12 @@ class NetworkConfig:
     layers_per_block: int = 5
     depth: int = 4
     final_block_layers: int = 4
-    leaky_alpha: float = 0.01
     branch_kernels: tuple = BRANCH_KERNELS
 
     def __post_init__(self):
         for name in ("growth_rate", "layers_per_block", "depth", "final_block_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.leaky_alpha < 1.0:
-            raise ValueError(f"leaky_alpha must be in [0, 1), got {self.leaky_alpha}")
         for kh, kw in self.branch_kernels:
             if kh % 2 == 0 or kw % 2 == 0:
                 raise ValueError(f"branch kernels must have odd dims, got {kh}x{kw}")
@@ -202,7 +206,7 @@ class CompositeLayer:
     """
 
     def __init__(self, store, name, c_in, c_out, kernel, rng, dtype,
-                 activation="relu", alpha=0.01):
+                 activation="relu", alpha=LEAKY_ALPHA):
         if activation not in ("relu", "leaky_relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.conv = _Conv(store, f"{name}.conv", c_in, c_out, kernel, rng, dtype)
@@ -237,7 +241,7 @@ class DenseBlock:
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
-                 dtype, activation="relu", alpha=0.01):
+                 dtype, activation="relu", alpha=LEAKY_ALPHA):
         self.in_channels = in_channels
         self.out_channels = growth_rate
         self.layers = [
@@ -333,7 +337,7 @@ class MaskSeparator:
         fused_in = k * len(self.branches)
         self.fuse = DenseBlock(
             self.store, "fuse", fused_in, k, self.cfg.final_block_layers, (3, 3),
-            rng, dtype, activation="leaky_relu", alpha=self.cfg.leaky_alpha,
+            rng, dtype, activation="leaky_relu", alpha=LEAKY_ALPHA,
         )
         self.head_perc = _Conv(self.store, "head_perc", k, 1, (1, 1), rng, dtype)
         self.head_harm = _Conv(self.store, "head_harm", k, 1, (1, 1), rng, dtype)
@@ -380,7 +384,7 @@ class MaskSeparator:
 #   magic  b"HPSS"
 #   u16    format version (currently 1)
 #   u32 x4 growth_rate, layers_per_block, depth, final_block_layers
-#   f64    leaky_alpha
+#   f64    LeakyReLU slope, always LEAKY_ALPHA
 #   f64 x2 normalization stats (min, max of log1p magnitude)
 #   then one record per parameter and buffer, in registry order:
 #     u16  name length, then that many UTF-8 bytes
@@ -437,7 +441,7 @@ def _write_checkpoint(path, cfg, stats, entries):
                 cfg.final_block_layers,
             )
         )
-        fh.write(struct.pack("<ddd", cfg.leaky_alpha, stats.min_val, stats.max_val))
+        fh.write(struct.pack("<ddd", LEAKY_ALPHA, stats.min_val, stats.max_val))
         for name, arr in entries:
             tag = _DTYPE_TAGS.get(arr.dtype)
             if tag is None:
@@ -460,8 +464,9 @@ def _read_exact(fh, n, what):
 def load_checkpoint(path, dtype=np.float64):
     """Rebuild a MaskSeparator and its normalization stats from disk.
 
-    Rejects unknown magics and versions, non-finite stats and records that
-    hold NaN or Inf. Records are matched as the model is built (see
+    Rejects unknown magics and versions, a stored LeakyReLU slope other
+    than ``LEAKY_ALPHA``, non-finite stats and records that hold NaN or
+    Inf. Records are matched as the model is built (see
     ``ParamStore``), and none may be left over, so a corrupt or hostile
     file fails with ValueError having allocated about its own size, never
     a model larger than the file.
@@ -475,6 +480,9 @@ def load_checkpoint(path, dtype=np.float64):
             raise ValueError(f"unsupported checkpoint version {version}")
         k, layers, depth, final_layers = struct.unpack("<IIII", _read_exact(fh, 16, "config"))
         alpha, stat_min, stat_max = struct.unpack("<ddd", _read_exact(fh, 24, "stats"))
+        if alpha != LEAKY_ALPHA:
+            raise ValueError(f"checkpoint stores LeakyReLU slope {alpha!r}; "
+                             f"the separator's is {LEAKY_ALPHA}")
         if not (math.isfinite(stat_min) and math.isfinite(stat_max)):
             raise ValueError(f"non-finite normalization stats: min={stat_min}, max={stat_max}")
         arrays = {}
@@ -511,8 +519,7 @@ def load_checkpoint(path, dtype=np.float64):
     if not kernels:
         raise ValueError("checkpoint holds no branch")
     cfg = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
-                        final_block_layers=final_layers, leaky_alpha=alpha,
-                        branch_kernels=tuple(kernels))
+                        final_block_layers=final_layers, branch_kernels=tuple(kernels))
     # Building the model matches every record, so these checks only name
     # the header field that the records do not bear out.
     stored_k = arrays["branch0.enc0.layer0.conv.weight"].shape[0]

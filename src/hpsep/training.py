@@ -15,9 +15,10 @@ one length, so stft -> magnitude -> patchify gives them one framing and
 each Example holds three tiles of the same frames.
 
 Optimization is ADAM with bias correction. After each epoch the validation
-loss drives a plateau schedule: no improvement for 3 epochs halves the
-learning rate, no improvement for 15 stops the run. The split is at track
-level so no validation content is ever trained on.
+loss drives a plateau schedule: no improvement (a decrease of more than
+IMPROVE_TOL) for 3 epochs halves the learning rate, none for 15 stops the
+run. The split is at track level, VAL_FRACTION of the tracks held out, so
+no validation content is ever trained on.
 
 The loop is single-threaded; with a fixed seed two runs produce
 bit-identical trajectories (64-bit arithmetic).
@@ -64,6 +65,8 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+VAL_FRACTION = 0.2  # share of the tracks held out for validation
+IMPROVE_TOL = 1e-7  # a validation loss must fall by more than this to improve
 
 
 class TrainingError(RuntimeError):
@@ -81,8 +84,6 @@ class TrainConfig:
     stop_patience: int = 15
     max_epochs: int = 100
     seed: int = 0
-    val_fraction: float = 0.2
-    improve_tol: float = 1e-7
 
     def __post_init__(self):
         if self.lambda_p < 0 or self.lambda_h < 0:
@@ -95,10 +96,8 @@ class TrainConfig:
             raise ValueError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
         if self.plateau_patience < 1 or self.stop_patience < 1:
             raise ValueError("patience values must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.improve_tol < 0:
-            raise ValueError("improve_tol must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -183,10 +182,10 @@ def schedule_epoch(val_loss, state, cfg):
     """Advance the plateau schedule with one epoch's validation loss.
 
     Improvement means a strict decrease below the best seen, beyond
-    ``improve_tol``. The stop check runs first, so a history that is stale
+    ``IMPROVE_TOL``. The stop check runs first, so a history that is stale
     long enough stops even on an epoch where a reduction would also fire.
     """
-    if val_loss < state.best_val - cfg.improve_tol:
+    if val_loss < state.best_val - IMPROVE_TOL:
         state.best_val = val_loss
         state.epochs_since_improve_lr = 0
         state.epochs_since_improve_stop = 0
@@ -287,7 +286,7 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     if os.path.isdir(checkpoint_path):
         raise TrainingError(f"checkpoint path {checkpoint_path} is a directory")
     split_rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    train_idx, val_idx = split_tracks(len(tracks), cfg.val_fraction, split_rng)
+    train_idx, val_idx = split_tracks(len(tracks), VAL_FRACTION, split_rng)
 
     per_track = [make_ground_truth(mix, drums) for mix, drums in tracks]
     train_examples = [e for i in train_idx for e in per_track[i]]

@@ -12,6 +12,7 @@ from hpsep.network import (
     BRANCH_KERNELS,
     CompositeLayer,
     DenseBlock,
+    LEAKY_ALPHA,
     MaskSeparator,
     MultiScaleBranch,
     NetworkConfig,
@@ -483,12 +484,6 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(depth=0)
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(leaky_alpha=1.0)
-        with pytest.raises(ValueError):
-            NetworkConfig(leaky_alpha=-0.1)
-
     def test_rejects_even_kernels(self):
         with pytest.raises(ValueError, match="odd"):
             NetworkConfig(branch_kernels=((2, 3),))
@@ -640,6 +635,15 @@ class TestCheckpoint:
         with open(path, "ab") as fh:
             fh.write(_record("zz.extra", np.zeros(2)))
         with pytest.raises(ValueError, match=r"extra=\['zz.extra'\]"):
+            load_checkpoint(path)
+
+    def test_rejects_a_stored_slope_other_than_the_separators(self, tmp_path):
+        _, _, path = self.roundtrip_model(tmp_path)
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack("<d", blob[22:30]) == (LEAKY_ALPHA,)  # after the four sizes
+        blob[22:30] = struct.pack("<d", 0.2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="LeakyReLU slope 0.2; the separator's is 0.01"):
             load_checkpoint(path)
 
     # the f64 stats min and max follow the magic, version, sizes and alpha

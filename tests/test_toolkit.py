@@ -12,7 +12,6 @@ from hpsep import cli
 from hpsep.audio_io import AudioError, read_wav, write_wav
 from hpsep.config import (
     ConfigError,
-    default_config_text,
     load_run_config,
     load_synth_spec,
     parse_config_text,
@@ -157,22 +156,15 @@ class TestSynthesis:
         assert np.max(np.abs(track.mixture)) <= 0.9
         assert np.max(np.abs(track.mixture)) > 0.5  # normalization actually ran
 
-    def test_zero_percussive_gain_leaves_pure_harmonic_mixture(self):
-        track = synth_track(quick_spec(gain_perc=0.0), 1)
-        np.testing.assert_array_equal(track.stems["drums"], 0.0)
-        np.testing.assert_array_equal(track.mixture, track.stems["harmonic_rest"])
-
     def test_aliasing_spec_rejected(self):
-        with pytest.raises(ValueError, match="alias"):
-            SynthSpec(f0_max_hz=4000.0, partials=8)
+        # the highest fundamental is 660 Hz: 33 partials stay under Nyquist, 34 do not
+        assert SynthSpec(partials=33).partials == 33
+        with pytest.raises(ValueError, match="highest partial 22440 Hz would alias"):
+            SynthSpec(partials=34)
 
     def test_invariants_validated(self):
         with pytest.raises(ValueError):
-            SynthSpec(onset_rate_hz=0.0)
-        with pytest.raises(ValueError):
             SynthSpec(n_tracks=0)
-        with pytest.raises(ValueError):
-            SynthSpec(band_emphasis=1.5)
 
     def test_stem_orientation_in_spectrogram(self):
         # harmonic energy should survive a median along time, percussive
@@ -241,7 +233,6 @@ RUN_KEYS = {
     "layers_per_block": (NetworkConfig, int, "2"),
     "depth": (NetworkConfig, int, "2"),
     "final_block_layers": (NetworkConfig, int, "2"),
-    "leaky_alpha": (NetworkConfig, float, "0"),
     "lambda_p": (TrainConfig, float, "1"),
     "lambda_h": (TrainConfig, float, "2"),
     "lr0": (TrainConfig, float, "1"),
@@ -251,26 +242,23 @@ RUN_KEYS = {
     "stop_patience": (TrainConfig, int, "7"),
     "max_epochs": (TrainConfig, int, "3"),
     "seed": (TrainConfig, int, "9"),
-    "val_fraction": (TrainConfig, float, "0.5"),
-    "improve_tol": (TrainConfig, float, "0"),
 }
 
 SYNTH_KEYS = {
     "seed": (int, "5"),
     "n_tracks": (int, "2"),
     "duration_s": (float, "3"),
-    "f0_min_hz": (float, "100"),
-    "f0_max_hz": (float, "600"),
     "voices": (int, "2"),
     "partials": (int, "5"),
-    "partial_rolloff": (float, "2"),
-    "attack_s": (float, "0"),
-    "release_s": (float, "1"),
-    "onset_rate_hz": (float, "3"),
-    "burst_decay_ms": (float, "30"),
-    "band_emphasis": (float, "1"),
-    "gain_harm": (float, "2"),
-    "gain_perc": (float, "0"),
+}
+
+# Keys that once set a value that is now a module constant, each with the
+# config it belonged to.
+REMOVED_KEYS = {
+    **{key: "run" for key in ("leaky_alpha", "val_fraction", "improve_tol")},
+    **{key: "synth" for key in (
+        "f0_min_hz", "f0_max_hz", "partial_rolloff", "attack_s", "release_s",
+        "onset_rate_hz", "burst_decay_ms", "band_emphasis", "gain_harm", "gain_perc")},
 }
 
 
@@ -293,6 +281,7 @@ class TestConfig:
             parse_config_text("growth_rate 4", RUN_SCHEMA.keys())
 
     def test_shipped_default_loads(self):
+        assert load_run_config(None) == (NetworkConfig(), TrainConfig())
         net_cfg, train_cfg = load_run_config(None)
         assert net_cfg.growth_rate == 10
         assert net_cfg.depth == 4
@@ -352,8 +341,19 @@ class TestConfig:
         value = getattr(load_synth_spec(path), key)
         assert type(value) is target_type and value == target_type(text)
 
-    def test_shipped_default_sets_every_run_key(self):
-        assert set(parse_config_text(default_config_text(), RUN_SCHEMA.keys())) == set(RUN_KEYS)
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_is_unknown(self, key, tmp_path):
+        path = tmp_path / "key.cfg"
+        path.write_text(f"{key} = 0.5\n")
+        load = load_run_config if REMOVED_KEYS[key] == "run" else load_synth_spec
+        with pytest.raises(ConfigError, match=f"line 1: unknown key {key!r}"):
+            load(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            load_run_config(path)
 
 
 def small_checkpoint(tmp_path):
@@ -581,6 +581,65 @@ class TestCli:
         assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_baseline_median_lengths_are_not_options(self, tmp_path, capsys):
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, np.zeros(4410))
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(["baseline", "--in", str(mix), "--out-perc", str(out_p),
+                         "--out-harm", str(out_h), "--l-harm", "9"]) == 2
+        assert "unrecognized arguments: --l-harm 9" in capsys.readouterr().err
+        assert not out_p.exists() and not out_h.exists()
+
+    @pytest.mark.parametrize("out, made, message", [
+        ("nodir/m.ckpt", [], "cannot write {d}/nodir/m.ckpt: directory {d}/nodir does not exist"),
+        ("outdir", ["outdir"], "cannot write {d}/outdir: it is a directory"),
+    ], ids=["missing-directory", "is-directory"])
+    def test_train_refuses_unwritable_out_before_reading_any_wav(
+            self, out, made, message, tmp_path, monkeypatch, capsys):
+        def no_reading(root):
+            raise AssertionError("the dataset was read before the refusal")
+
+        monkeypatch.setattr(cli, "load_dataset", no_reading)
+        for name in made:
+            (tmp_path / name).mkdir()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"),
+                       "--config", str(write_run_cfg(tmp_path / "run.cfg")),
+                       "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(made + ["run.cfg"])
+
+    @pytest.mark.parametrize("line, message", [
+        ("lr0 = nan", "key 'lr0': 'nan' is not a finite number"),
+        ("lr0 = inf", "key 'lr0': 'inf' is not a finite number"),
+        ("lambda_p = nan", "key 'lambda_p': 'nan' is not a finite number"),
+        ("lambda_h = 1e400", "key 'lambda_h': '1e400' is not a finite number"),
+        ("improve_tol = nan", "unknown key 'improve_tol'"),
+    ], ids=["lr0-nan", "lr0-inf", "lambda_p-nan", "lambda_h-overflow", "improve_tol-nan"])
+    def test_train_refuses_bad_config_before_reading_any_wav(
+            self, line, message, tmp_path, monkeypatch, capsys):
+        def no_reading(root):
+            raise AssertionError("the dataset was read before the refusal")
+
+        monkeypatch.setattr(cli, "load_dataset", no_reading)
+        run_cfg = write_run_cfg(tmp_path / "run.cfg")
+        run_cfg.write_text(run_cfg.read_text() + line + "\n")
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(run_cfg),
+                       "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_gen_data_refuses_non_finite_duration(self, value, tmp_path, capsys):
+        spec_path = tmp_path / "synth.cfg"
+        spec_path.write_text(f"n_tracks = 1\nduration_s = {value}\n")
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(data_dir)]) == 1
+        assert (f"hpsep: error: key 'duration_s': '{value}' is not a finite number"
+                in capsys.readouterr().err)
+        assert not data_dir.exists()
+
     @staticmethod
     def split_args(command, tmp_path, mix, out_p, out_h):
         """Arguments of ``separate`` (with a tiny checkpoint) or ``baseline``."""
@@ -752,11 +811,10 @@ class TestCli:
         capsys.readouterr()
 
     def test_train_on_silent_corpus_exits_1_and_writes_nothing(self, tmp_path, capsys):
-        spec_path = tmp_path / "synth.cfg"
-        spec_path.write_text("n_tracks = 2\nduration_s = 1.6\nvoices = 2\npartials = 4\n"
-                             "gain_harm = 0\ngain_perc = 0\n")
         data_dir = tmp_path / "data"
-        assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+        silence = np.zeros(int(1.6 * 44100))
+        for tid in ("track000", "track001"):
+            write_track_dir(data_dir / tid, silence, silence)
         ckpt = tmp_path / "model.ckpt"
         rc = cli.main(["train", "--data", str(data_dir),
                        "--config", str(write_run_cfg(tmp_path / "run.cfg")),
@@ -790,8 +848,7 @@ class TestCli:
         out_h = tmp_path / "h.wav"
         assert cli.main(["baseline",
                          "--in", str(data_dir / "track000" / "mixture.wav"),
-                         "--out-perc", str(out_p), "--out-harm", str(out_h),
-                         "--l-harm", "9", "--l-perc", "9"]) == 0
+                         "--out-perc", str(out_p), "--out-harm", str(out_h)]) == 0
         assert out_p.exists() and out_h.exists()
 
         # estimates equal to the references must hit the +100 dB caps

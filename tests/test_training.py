@@ -180,9 +180,10 @@ class TestScheduler:
     def test_tolerance_is_strict(self):
         cfg = TrainConfig()
         _, _, state = run_history([1.0], cfg)
-        assert schedule_epoch(1.0 - cfg.improve_tol, state, cfg) is Decision.CONTINUE
+        tol = training.IMPROVE_TOL
+        assert schedule_epoch(1.0 - tol, state, cfg) is Decision.CONTINUE
         assert state.epochs_since_improve_stop == 1  # within tolerance: stale
-        assert schedule_epoch(1.0 - 2 * cfg.improve_tol, state, cfg) is Decision.CONTINUE
+        assert schedule_epoch(1.0 - 2 * tol, state, cfg) is Decision.CONTINUE
         assert state.epochs_since_improve_stop == 0  # beyond tolerance: improved
 
     def test_decisions_replay_exactly(self):
