@@ -4,8 +4,8 @@ Readable inputs are RIFF/WAVE files holding 16-bit PCM or 32-bit IEEE
 float, mono or stereo; stereo is downmixed by averaging the channels.
 Float files holding NaN or Inf are rejected.
 Everything downstream runs at 44.1 kHz, so other rates are rejected
-unless explicitly waived (there is no resampler here). Output is always
-float-32 mono, which round-trips bit-exactly.
+(there is no resampler here). Output is always 44.1 kHz float-32 mono,
+which round-trips bit-exactly.
 A file that ends inside its data chunk is rejected as truncated.
 """
 
@@ -26,8 +26,8 @@ class AudioError(ValueError):
     """Unreadable, unsupported, non-finite, or wrong-rate audio file."""
 
 
-def read_wav(path, allow_other_rate=False):
-    """Read a WAV file into (float64 mono samples, sample rate).
+def read_wav(path):
+    """Read a 44.1 kHz WAV file into (float64 mono samples, SAMPLE_RATE).
 
     16-bit PCM is scaled by 1/32768 so full-scale positive reads as
     32767/32768. Stereo becomes the mean of the two channels.
@@ -63,19 +63,16 @@ def read_wav(path, allow_other_rate=False):
     elif samples.ndim != 1:
         raise AudioError(f"{path}: unexpected sample layout {samples.shape}")
 
-    if rate != SAMPLE_RATE and not allow_other_rate:
-        raise AudioError(
-            f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz "
-            "(pass --resample-off-ok to accept it unresampled)"
-        )
+    if rate != SAMPLE_RATE:
+        raise AudioError(f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz")
     return samples, rate
 
 
-def write_wav(path, samples, rate=SAMPLE_RATE):
-    """Write mono float-32 samples."""
+def write_wav(path, samples):
+    """Write mono float-32 samples at SAMPLE_RATE."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise AudioError(f"refusing to write non-mono data of shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise AudioError("refusing to write non-finite samples")
-    wavfile.write(path, int(rate), samples.astype(np.float32))
+    wavfile.write(path, SAMPLE_RATE, samples.astype(np.float32))

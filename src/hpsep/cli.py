@@ -61,10 +61,10 @@ def _split_file(args, split):
     _check_writable(args.out_harm)
     if Path(args.out_perc).resolve() == Path(args.out_harm).resolve():
         raise ValueError(f"--out-perc and --out-harm are the same file: {args.out_perc}")
-    samples, rate = read_wav(args.infile, allow_other_rate=args.resample_off_ok)
+    samples, _ = read_wav(args.infile)
     perc, harm = split(samples)
-    write_wav(args.out_perc, perc, rate)
-    write_wav(args.out_harm, harm, rate)
+    write_wav(args.out_perc, perc)
+    write_wav(args.out_harm, harm)
     print(f"wrote {args.out_perc} and {args.out_harm}")
     return 0
 
@@ -91,9 +91,9 @@ def _cmd_eval(args):
         raise FileNotFoundError(f"missing estimate {missing[0]} ({len(missing)} missing)")
     reports = []
     for tid in ids:
-        mixture, drums = read_track(ref_root / tid, args.resample_off_ok)
-        est_p, _ = read_wav(est_root / tid / "perc.wav", args.resample_off_ok)
-        est_h, _ = read_wav(est_root / tid / "harm.wav", args.resample_off_ok)
+        mixture, drums = read_track(ref_root / tid)
+        est_p, _ = read_wav(est_root / tid / "perc.wav")
+        est_h, _ = read_wav(est_root / tid / "harm.wav")
         reports.append(evaluate_track(est_p, est_h, drums, mixture - drums, track=tid))
     write_report(reports, args.report)
     mean_sdr = sum(r.average.sdr_db for r in reports) / len(reports)
@@ -133,15 +133,12 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True, metavar="WAV")
     p.add_argument("--out-perc", required=True, metavar="WAV")
     p.add_argument("--out-harm", required=True, metavar="WAV")
-    p.add_argument("--resample-off-ok", action="store_true",
-                   help="accept non-44.1kHz input without resampling")
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("baseline", help="median-filtering separation, no model")
     p.add_argument("--in", dest="infile", required=True, metavar="WAV")
     p.add_argument("--out-perc", required=True, metavar="WAV")
     p.add_argument("--out-harm", required=True, metavar="WAV")
-    p.add_argument("--resample-off-ok", action="store_true")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("eval", help="score estimate WAVs against reference stems")
@@ -150,7 +147,6 @@ def _build_parser():
     p.add_argument("--ref-dir", required=True,
                    help="dataset directory of <id>/mixture.wav + <id>/drums.wav")
     p.add_argument("--report", required=True, help="output CSV path")
-    p.add_argument("--resample-off-ok", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("param-count", help="print the trainable parameter total")

@@ -7,7 +7,8 @@ only needs the values it changes.
 
 Each setting is declared once, as a dataclass field: the keys are the
 fields whose default is an int or a float, parsed with the default's
-type, and a float must be finite. The run config (RUN_SCHEMA) holds
+type. The dataclasses refuse values out of range, a non-finite float
+included, and the error names the key. The run config (RUN_SCHEMA) holds
 those of NetworkConfig and TrainConfig, whose defaults are the shipped
 run config; the synthesis spec (SYNTH_SCHEMA) holds those of SynthSpec.
 A field of another type, such as ``NetworkConfig.branch_kernels``, needs
@@ -16,7 +17,6 @@ a parser before it can be a key.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -87,8 +87,6 @@ def _load(text, schema, classes):
             raise ConfigError(
                 f"key {key!r}: cannot parse {value!r} as {target_type.__name__}"
             ) from exc
-        if target_type is float and not math.isfinite(parsed):
-            raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
         kwargs[cls][key] = parsed
     try:
         return tuple(cls(**kwargs[cls]) for cls in classes)

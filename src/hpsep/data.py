@@ -97,8 +97,8 @@ class SynthSpec:
             raise ValueError("seed must be nonnegative")
         if self.n_tracks < 1:
             raise ValueError("n_tracks must be >= 1")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0.0 < self.duration_s < math.inf:  # NaN fails it too
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
         if self.voices < 1 or self.partials < 1:
             raise ValueError("voices and partials must be >= 1")
         if F0_MAX_HZ * self.partials >= NYQUIST:
@@ -198,11 +198,11 @@ def track_ids(root):
     return sorted(d.name for d in Path(root).iterdir() if (d / "mixture.wav").is_file())
 
 
-def read_track(track_dir, allow_other_rate=False):
+def read_track(track_dir):
     """(mixture, drums) samples of one track directory, of equal length."""
     track_dir = Path(track_dir)
-    mixture, _ = read_wav(track_dir / "mixture.wav", allow_other_rate)
-    drums, _ = read_wav(track_dir / "drums.wav", allow_other_rate)
+    mixture, _ = read_wav(track_dir / "mixture.wav")
+    drums, _ = read_wav(track_dir / "drums.wav")
     if len(mixture) != len(drums):
         raise ValueError(f"{track_dir.name}: mixture and drums lengths differ")
     return mixture, drums

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dsp import GlobalStats
+from .dsp import N_BINS, PATCH_FRAMES, GlobalStats
 from .tensor import RunningStats, Tensor
 
 __all__ = [
@@ -67,7 +67,9 @@ class NetworkConfig:
 
     The int fields are run-config keys. ``branch_kernels`` has no config
     parser yet, and the fusion block's LeakyReLU slope is the constant
-    ``LEAKY_ALPHA``.
+    ``LEAKY_ALPHA``. ``depth`` is at most 7: each branch halves the
+    N_BINS x PATCH_FRAMES tile ``depth`` times, so ``2 ** depth`` must
+    divide both sides.
     """
 
     # Sized so the trainable parameter count lands near 555k (acceptance
@@ -83,6 +85,10 @@ class NetworkConfig:
         for name in ("growth_rate", "layers_per_block", "depth", "final_block_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # capped so that a hostile checkpoint header's depth is no huge power
+        if math.gcd(N_BINS, PATCH_FRAMES) % 2 ** min(self.depth, 64):
+            raise ValueError(f"depth {self.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} "
+                             f"tile: 2 ** depth must divide both sides")
         for kh, kw in self.branch_kernels:
             if kh % 2 == 0 or kw % 2 == 0:
                 raise ValueError(f"branch kernels must have odd dims, got {kh}x{kw}")
@@ -148,53 +154,28 @@ def param_count(store):
     return sum(t.data.size for t in store.params.values())
 
 
-def _he_uniform(rng, shape, fan_in, dtype):
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _conv_params(store, name, c_in, c_out, kernel, rng, dtype, transposed=False):
+    """He-uniform ``<name>.weight`` and zero ``<name>.bias`` of a c_in -> c_out conv.
 
-
-class _Conv:
-    """Stride-1 same-padding convolution with bias."""
-
-    def __init__(self, store, name, c_in, c_out, kernel, rng, dtype):
-        kh, kw = kernel
-        self.weight = store.make_param(
-            f"{name}.weight", (c_out, c_in, kh, kw),
-            lambda s: _he_uniform(rng, s, c_in * kh * kw, dtype),
-        )
-        self.bias = store.make_param(f"{name}.bias", (c_out,), lambda s: np.zeros(s, dtype))
-
-    def __call__(self, x):
-        return T.conv2d(x, self.weight, self.bias)
-
-
-class _UpConv:
-    """2x2 stride-2 transposed convolution with bias (spatial doubling)."""
-
-    def __init__(self, store, name, c_in, c_out, rng, dtype):
-        self.weight = store.make_param(
-            f"{name}.weight", (c_in, c_out, 2, 2), lambda s: _he_uniform(rng, s, c_in * 4, dtype)
-        )
-        self.bias = store.make_param(f"{name}.bias", (c_out,), lambda s: np.zeros(s, dtype))
-
-    def __call__(self, x):
-        return T.transposed_conv2(x, self.weight, self.bias)
-
-
-class _BatchNorm:
-    def __init__(self, store, name, channels, dtype):
-        self.gamma = store.make_param(f"{name}.gamma", (channels,), lambda s: np.ones(s, dtype))
-        self.beta = store.make_param(f"{name}.beta", (channels,), lambda s: np.zeros(s, dtype))
-        self.state = RunningStats(channels, dtype=dtype)
-        store.add_buffer(f"{name}.running_mean", self.state.mean)
-        store.add_buffer(f"{name}.running_var", self.state.var)
-
-    def __call__(self, x, training):
-        return T.batchnorm(x, self.gamma, self.beta, self.state, training)
+    The weight is (c_out, c_in, kh, kw), or (c_in, c_out, kh, kw) for a
+    transposed conv, and draws from ``rng`` unless ``store`` has its record.
+    """
+    kh, kw = kernel
+    limit = math.sqrt(6.0 / (c_in * kh * kw))
+    shape = (c_in, c_out, kh, kw) if transposed else (c_out, c_in, kh, kw)
+    weight = store.make_param(f"{name}.weight", shape,
+                              lambda s: rng.uniform(-limit, limit, size=s).astype(dtype))
+    bias = store.make_param(f"{name}.bias", (c_out,), lambda s: np.zeros(s, dtype))
+    return weight, bias
 
 
 class CompositeLayer:
     """conv -> batchnorm -> activation, the unit every block is made of.
+
+    The layer owns its six arrays: the conv's ``weight`` and ``bias``,
+    batchnorm's ``gamma`` and ``beta``, and the running statistics in
+    ``state``, registered as ``<name>.conv.*`` and ``<name>.bn.*``. The
+    activation is ReLU or LeakyReLU with slope ``LEAKY_ALPHA``.
 
     In training the three ops are recorded. In inference (``training``
     False) the layer runs folded: batchnorm's running statistics are folded
@@ -205,28 +186,34 @@ class CompositeLayer:
     when it is given.
     """
 
-    def __init__(self, store, name, c_in, c_out, kernel, rng, dtype,
-                 activation="relu", alpha=LEAKY_ALPHA):
+    def __init__(self, store, name, c_in, c_out, kernel, rng, dtype, activation="relu"):
         if activation not in ("relu", "leaky_relu"):
             raise ValueError(f"unknown activation {activation!r}")
-        self.conv = _Conv(store, f"{name}.conv", c_in, c_out, kernel, rng, dtype)
-        self.bn = _BatchNorm(store, f"{name}.bn", c_out, dtype)
+        self.weight, self.bias = _conv_params(store, f"{name}.conv", c_in, c_out, kernel,
+                                              rng, dtype)
+        self.gamma = store.make_param(f"{name}.bn.gamma", (c_out,), lambda s: np.ones(s, dtype))
+        self.beta = store.make_param(f"{name}.bn.beta", (c_out,), lambda s: np.zeros(s, dtype))
+        self.state = RunningStats(c_out, dtype=dtype)
+        store.add_buffer(f"{name}.bn.running_mean", self.state.mean)
+        store.add_buffer(f"{name}.bn.running_var", self.state.var)
         self.activation = activation
-        self.alpha = alpha
 
     def forward(self, x, training, out=None):
         """The layer's activation, written into the array ``out`` if given."""
-        h = self.bn(self.conv(x), training) if training else self._folded(x)
+        if training:
+            h = T.batchnorm(T.conv2d(x, self.weight, self.bias), self.gamma, self.beta,
+                            self.state, True)
+        else:
+            h = self._folded(x)
         if self.activation == "relu":
             return T.relu(h, out=out)
-        return T.leaky_relu(h, self.alpha, out=out)
+        return T.leaky_relu(h, LEAKY_ALPHA, out=out)
 
     def _folded(self, x):
         """conv -> inference batchnorm as one conv."""
-        bn = self.bn
-        scale = bn.gamma.data / np.sqrt(bn.state.var + bn.state.eps)
-        weight = self.conv.weight.data * scale[:, None, None, None]
-        bias = (self.conv.bias.data - bn.state.mean) * scale + bn.beta.data
+        scale = self.gamma.data / np.sqrt(self.state.var + self.state.eps)
+        weight = self.weight.data * scale[:, None, None, None]
+        bias = (self.bias.data - self.state.mean) * scale + self.beta.data
         return T.conv2d(x, Tensor(weight), Tensor(bias))
 
 
@@ -241,14 +228,12 @@ class DenseBlock:
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
-                 dtype, activation="relu", alpha=LEAKY_ALPHA):
+                 dtype, activation="relu"):
         self.in_channels = in_channels
         self.out_channels = growth_rate
         self.layers = [
-            CompositeLayer(
-                store, f"{name}.layer{i}", in_channels + i * growth_rate, growth_rate,
-                kernel, rng, dtype, activation=activation, alpha=alpha,
-            )
+            CompositeLayer(store, f"{name}.layer{i}", in_channels + i * growth_rate,
+                           growth_rate, kernel, rng, dtype, activation=activation)
             for i in range(layers)
         ]
         self.connection_count = layers * (layers + 1) // 2
@@ -295,7 +280,8 @@ class MultiScaleBranch:
         self.up = []
         self.dec = []
         for s in reversed(range(cfg.depth)):
-            self.up.append(_UpConv(store, f"{name}.up{s}", k, k, rng, dtype))
+            self.up.append(_conv_params(store, f"{name}.up{s}", k, k, (2, 2), rng, dtype,
+                                        transposed=True))
             self.dec.append(
                 DenseBlock(store, f"{name}.dec{s}", 2 * k, k, L, kernel, rng, dtype)
             )
@@ -309,7 +295,7 @@ class MultiScaleBranch:
             h = T.maxpool2(h)
         h = self.mid.forward([h], training)
         for up, dec, skip in zip(self.up, self.dec, reversed(skips)):
-            h = dec.forward([up(h), skip], training)
+            h = dec.forward([T.transposed_conv2(h, *up), skip], training)
         return h
 
 
@@ -335,12 +321,10 @@ class MaskSeparator:
             for i, kernel in enumerate(self.cfg.branch_kernels)
         ]
         fused_in = k * len(self.branches)
-        self.fuse = DenseBlock(
-            self.store, "fuse", fused_in, k, self.cfg.final_block_layers, (3, 3),
-            rng, dtype, activation="leaky_relu", alpha=LEAKY_ALPHA,
-        )
-        self.head_perc = _Conv(self.store, "head_perc", k, 1, (1, 1), rng, dtype)
-        self.head_harm = _Conv(self.store, "head_harm", k, 1, (1, 1), rng, dtype)
+        self.fuse = DenseBlock(self.store, "fuse", fused_in, k, self.cfg.final_block_layers,
+                               (3, 3), rng, dtype, activation="leaky_relu")
+        self.head_perc = _conv_params(self.store, "head_perc", k, 1, (1, 1), rng, dtype)
+        self.head_harm = _conv_params(self.store, "head_harm", k, 1, (1, 1), rng, dtype)
 
     def forward(self, x, training=False):
         """The (percussive, harmonic) masks of ``x``, which has the model's dtype.
@@ -374,7 +358,8 @@ class MaskSeparator:
         with contextlib.nullcontext() if training else T.no_grad():
             outs = [branch.forward(x, training) for branch in self.branches]
             fused = self.fuse.forward(outs, training)
-            masks = T.sigmoid(self.head_perc(fused)), T.sigmoid(self.head_harm(fused))
+            masks = (T.sigmoid(T.conv2d(fused, *self.head_perc)),
+                     T.sigmoid(T.conv2d(fused, *self.head_harm)))
         return tuple(Tensor(m.data[0]) for m in masks) if lone else masks
 
 

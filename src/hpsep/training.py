@@ -34,15 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (
-    N_BINS,
-    PATCH_FRAMES,
-    MagPatch,
-    compute_global_stats,
-    normalize_values,
-    patchify,
-    stft,
-)
+from .dsp import MagPatch, compute_global_stats, normalize_values, patchify, stft
 from .network import MaskSeparator, NetworkConfig, save_checkpoint
 from .tensor import Tensor
 
@@ -86,10 +78,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_p < 0 or self.lambda_h < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        # written so that NaN fails every range check
+        for name in ("lambda_p", "lambda_h"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -265,21 +260,15 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     Saves a checkpoint whenever the validation loss improves (and once
     before the first epoch, so an aborted run still leaves a loadable
     model). Appends one metrics row per epoch to
-    ``<checkpoint_path>.metrics.csv``. Refuses an empty corpus, a depth
-    whose ``2 ** depth`` does not divide the tile and a checkpoint path in
-    a missing directory or naming a directory before any STFT, and a
-    silent corpus before writing either file. Returns a TrainResult.
+    ``<checkpoint_path>.metrics.csv``. Refuses an empty corpus and a
+    checkpoint path in a missing directory or naming a directory before any
+    STFT, and a silent corpus before writing either file (``NetworkConfig``
+    refuses a depth too deep for the tile). Returns a TrainResult.
     """
     net_cfg = net_cfg or NetworkConfig()
     cfg = cfg or TrainConfig()
     if len(tracks) == 0:
         raise TrainingError("empty dataset")
-    scale = 2**net_cfg.depth
-    if N_BINS % scale or PATCH_FRAMES % scale:
-        raise TrainingError(
-            f"depth {net_cfg.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} tile: "
-            f"2 ** depth = {scale} must divide both sides"
-        )
     out_dir = os.path.dirname(os.fspath(checkpoint_path)) or "."
     if not os.path.isdir(out_dir):
         raise TrainingError(f"checkpoint directory {out_dir} does not exist")

@@ -1,5 +1,6 @@
 """Architecture bookkeeping, gradient flow, and checkpoint format tests."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -116,7 +117,8 @@ class TestFoldedInference:
     def assert_masks_match_unfolded(self, model, x, monkeypatch):
         folded = model.forward(x, training=False)
         with monkeypatch.context() as m:
-            m.setattr(CompositeLayer, "_folded", lambda self, x: self.bn(self.conv(x), False))
+            m.setattr(CompositeLayer, "_folded", lambda self, x: T.batchnorm(
+                T.conv2d(x, self.weight, self.bias), self.gamma, self.beta, self.state, False))
             unfolded = model.forward(x, training=False)
         for got, want in zip(folded, unfolded):
             assert got.dtype == want.dtype
@@ -138,13 +140,12 @@ class TestFoldedInference:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_layer_writes_into_out(self, activation, dtype):
         store = ParamStore()
-        layer = CompositeLayer(store, "c", 3, 4, (3, 3), rng(33), dtype,
-                               activation=activation, alpha=0.2)
+        layer = CompositeLayer(store, "c", 3, 4, (3, 3), rng(33), dtype, activation=activation)
         randomize_bn(store, 33)
         x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 8, 6)).astype(dtype))
-        h = T.batchnorm(T.conv2d(x, layer.conv.weight, layer.conv.bias),
-                        layer.bn.gamma, layer.bn.beta, layer.bn.state, False)
-        want = T.relu(h) if activation == "relu" else T.leaky_relu(h, 0.2)
+        h = T.batchnorm(T.conv2d(x, layer.weight, layer.bias),
+                        layer.gamma, layer.beta, layer.state, False)
+        want = T.relu(h) if activation == "relu" else T.leaky_relu(h, LEAKY_ALPHA)
         buf = np.full((2, 7, 8, 6), np.nan, dtype=dtype)
         got = layer.forward(x, False, out=buf[:, 2:6])
         alone = layer.forward(x, False)
@@ -244,7 +245,7 @@ class TestDenseBlockBuffer:
         store = ParamStore()
         c_in = sum(shape[-3] for shape in shapes)
         block = DenseBlock(store, "b", c_in, 3, layers, (3, 3), rng(21),
-                           np.float64, activation=activation, alpha=0.2)
+                           np.float64, activation=activation)
         gen = np.random.default_rng(22)
         parts = [Tensor(gen.normal(size=shape), requires_grad=True) for shape in shapes]
         out = forward(block, parts, training)
@@ -448,6 +449,20 @@ class TestMaskSeparator:
         ]
         assert shapes == [(3, 3), (13, 1), (1, 13)]
 
+    def test_registry_names_shapes_and_order_are_frozen(self):
+        # checkpoints store records in registry order under these names, so
+        # a refactor of the layers must leave this list as it is
+        store = MaskSeparator(tiny_cfg(), seed=0).store
+        listing = ([(n, t.shape) for n, t in store.params.items()]
+                   + [(n, a.shape) for n, a in store.buffers.items()])
+        assert len(listing) == 208
+        assert listing[:4] == [("branch0.enc0.layer0.conv.weight", (2, 1, 3, 3)),
+                               ("branch0.enc0.layer0.conv.bias", (2,)),
+                               ("branch0.enc0.layer0.bn.gamma", (2,)),
+                               ("branch0.enc0.layer0.bn.beta", (2,))]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == "703d6ebb2d03bd098692b69e613484140f8345feabcec53e3d773502522cb7cb"
+
     def test_finite_difference_gradients_through_full_model(self):
         cfg = NetworkConfig(growth_rate=2, layers_per_block=1, depth=1,
                             final_block_layers=1)
@@ -487,6 +502,13 @@ class TestNetworkConfig:
     def test_rejects_even_kernels(self):
         with pytest.raises(ValueError, match="odd"):
             NetworkConfig(branch_kernels=((2, 3),))
+
+    @pytest.mark.parametrize("depth", [8, 9, 2**32 - 1])
+    def test_rejects_depth_too_deep_for_the_tile(self, depth):
+        # 2 ** 7 = 128 divides the 512x128 tile; 2 ** 8 does not
+        assert NetworkConfig(depth=7).depth == 7
+        with pytest.raises(ValueError, match=f"depth {depth} is too deep for the 512x128 tile"):
+            NetworkConfig(depth=depth)
 
 
 def _record(name, array):

@@ -323,22 +323,19 @@ class TestTrainLoop:
             train(toy_tracks(1), tiny_net(), TrainConfig(),
                   checkpoint_path=str(tmp_path / "x"))
 
-    @pytest.mark.parametrize("depth, out, made, message", [
-        (8, "m.ckpt", [], "depth 8 is too deep"),
-        (1, "nodir/m.ckpt", [], "checkpoint directory .*nodir does not exist"),
-        (1, "outdir", ["outdir"], "checkpoint path .*outdir is a directory"),
-    ], ids=["too-deep", "no-directory", "is-directory"])
-    def test_refused_before_any_stft(self, tmp_path, monkeypatch, depth, out, made, message):
+    @pytest.mark.parametrize("out, made, message", [
+        ("nodir/m.ckpt", [], "checkpoint directory .*nodir does not exist"),
+        ("outdir", ["outdir"], "checkpoint path .*outdir is a directory"),
+    ], ids=["no-directory", "is-directory"])
+    def test_refused_before_any_stft(self, tmp_path, monkeypatch, out, made, message):
         def no_stft(mix, drums):
             raise AssertionError("make_ground_truth ran before the refusal")
 
         monkeypatch.setattr(training, "make_ground_truth", no_stft)
         for name in made:
             (tmp_path / name).mkdir()
-        net = NetworkConfig(growth_rate=1, layers_per_block=1, depth=depth,
-                            final_block_layers=1)
         with pytest.raises(TrainingError, match=message):
-            train(toy_tracks(), net, TrainConfig(), checkpoint_path=str(tmp_path / out))
+            train(toy_tracks(), tiny_net(), TrainConfig(), checkpoint_path=str(tmp_path / out))
         assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == made
 
     def test_divergence_aborts_and_keeps_checkpoint(self, tmp_path):
