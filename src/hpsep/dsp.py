@@ -19,11 +19,11 @@ baseline the first 512 (the top bin has negligible energy at 44.1 kHz).
 When masks are applied, each 512-bin mask is edge-extended over the top
 bin, so complementary masks rebuild the mixture exactly.
 
-Patches are (512, 128) tiles along time. ``patchify`` zero-pads the
-frame axis once to a multiple of 128 and hands out views of that padded
-matrix; ``depatchify`` joins tiles and trims them to a frame count, which
-the caller keeps (``Spectrogram.frames``). A tile record holds only its
-values.
+Patches are (512, 128) tiles along time. ``tiles`` zero-pads the frame
+axis once to a multiple of 128 and views that copy as (n, 1, 512, 128),
+the network's batch layout; ``depatchify`` joins tiles and trims them to
+a frame count, which the caller keeps (``Spectrogram.frames``). No other
+module knows the layout; ``patchify`` wraps each tile in a record.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "hann_window",
     "stft",
     "istft",
+    "tiles",
     "patchify",
     "depatchify",
     "compute_global_stats",
@@ -137,7 +138,7 @@ def istft(spec):
 
 @dataclass
 class MagPatch:
-    """One (512, 128) magnitude tile."""
+    """A (512, 128) tile record for ``compute_global_stats``, perfbench, criterion 7 and tests."""
 
     values: np.ndarray
 
@@ -150,12 +151,12 @@ class GlobalStats:
     max_val: float
 
 
-def patchify(mag):
-    """Split a (512, frames) magnitude matrix into (512, 128) tiles.
+def tiles(mag):
+    """A (512, frames) magnitude matrix as (n, 1, 512, 128) tiles.
 
-    The frame axis is zero-padded once, up to a multiple of 128, and each
-    tile's ``values`` is a view of that padded copy. ``depatchify`` with
-    the input's frame count restores the input bit-exactly.
+    The frame axis is zero-padded once, up to a multiple of 128, and the
+    tiles are a view of that padded copy. For ``t = tiles(mag)``,
+    ``depatchify(list(t[:, 0]), mag.shape[1])`` is ``mag`` bit-exactly.
     """
     mag = np.asarray(mag)
     if mag.ndim != 2 or mag.shape[0] != N_BINS:
@@ -163,7 +164,12 @@ def patchify(mag):
     if mag.shape[1] < 1:
         raise ValueError("cannot patch an empty spectrogram")
     padded = np.pad(mag, ((0, 0), (0, -mag.shape[1] % PATCH_FRAMES)))
-    return [MagPatch(v) for v in np.split(padded, padded.shape[1] // PATCH_FRAMES, axis=1)]
+    return padded.reshape(N_BINS, -1, PATCH_FRAMES).transpose(1, 0, 2)[:, None]
+
+
+def patchify(mag):
+    """``tiles(mag)`` as ``MagPatch`` records; only perfbench and tests call this."""
+    return [MagPatch(t[0]) for t in tiles(mag)]
 
 
 def depatchify(tiles, frames):

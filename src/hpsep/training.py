@@ -11,8 +11,9 @@ magnitudes; only the network input is normalized.
 
 Ground truth comes from time-domain stems: the percussive target is the
 drums stem and the harmonic target is mixture minus drums. All three have
-one length, so stft -> magnitude -> patchify gives them one framing and
-each Example holds three tiles of the same frames.
+one length, so stft -> magnitude -> ``dsp.tiles`` gives them one framing.
+``train`` joins each split's tiles into three (tiles, 1, 512, 128) arrays
+of x, p and h, and a batch indexes all three with one set of rows.
 
 Optimization is ADAM with bias correction. After each epoch the validation
 loss drives a plateau schedule: no improvement (a decrease of more than
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import MagPatch, compute_global_stats, normalize_values, patchify, stft
+from .dsp import MagPatch, compute_global_stats, normalize_values, stft, tiles
 from .network import MaskSeparator, NetworkConfig, save_checkpoint
 from .tensor import Tensor
 
@@ -50,6 +51,7 @@ __all__ = [
     "adam_step",
     "schedule_epoch",
     "make_ground_truth",
+    "ground_truth_tiles",
     "split_tracks",
     "train",
 ]
@@ -97,7 +99,7 @@ class TrainConfig:
 
 @dataclass
 class Example:
-    """Raw-magnitude tiles of one framing: mixture, percussive GT, harmonic GT."""
+    """Mixture, percussive and harmonic tiles; built only for perfbench, criterion 7 and tests."""
 
     x: MagPatch
     p: MagPatch
@@ -196,23 +198,22 @@ def schedule_epoch(val_loss, state, cfg):
     return Decision.CONTINUE
 
 
-def make_ground_truth(mix, drums):
-    """Build aligned Examples from a mixture and its drums stem.
+def ground_truth_tiles(mix, drums):
+    """(x, p, h): ``dsp.tiles`` of the magnitudes of mix, drums and mix - drums.
 
-    The harmonic target waveform is mix - drums, computed in the time
-    domain before any transform, so the three signals share one length
-    and their tiles one framing.
+    The harmonic target waveform is computed in the time domain, so the
+    three signals share one length and their tiles one framing.
     """
     mix = np.asarray(mix, dtype=np.float64)
     drums = np.asarray(drums, dtype=np.float64)
     if mix.shape != drums.shape:
         raise ValueError(f"length mismatch: mix {mix.shape}, drums {drums.shape}")
-    harmonic = mix - drums
-    tiles = [
-        patchify(stft(samples).magnitude())
-        for samples in (mix, drums, harmonic)
-    ]
-    return [Example(x=px, p=pp, h=ph) for px, pp, ph in zip(*tiles)]
+    return tuple(tiles(stft(s).magnitude()) for s in (mix, drums, mix - drums))
+
+
+def make_ground_truth(mix, drums):
+    """``ground_truth_tiles`` as Examples; only perfbench, criterion 7 and tests call this."""
+    return [Example(*(MagPatch(a[0]) for a in t)) for t in zip(*ground_truth_tiles(mix, drums))]
 
 
 def split_tracks(n_tracks, val_fraction, rng):
@@ -235,23 +236,22 @@ class TrainResult:
     val_track_indices: list = field(default_factory=list)
 
 
-def _batch_arrays(examples, stats):
-    xr = np.stack([e.x.values for e in examples])[:, None]
-    pr = np.stack([e.p.values for e in examples])[:, None]
-    hr = np.stack([e.h.values for e in examples])[:, None]
-    return normalize_values(xr, stats), xr, pr, hr
+def _split_tiles(tracks, indices):
+    """x, p and h tiles of the indexed tracks, each one (tiles, 1, 512, 128) array."""
+    parts = list(zip(*(ground_truth_tiles(*tracks[i]) for i in indices)))
+    # a part's per-track arrays are freed once it is joined: one part is held twice at most
+    return tuple(np.concatenate(parts.pop(0)) for _ in range(3))
 
 
-def _epoch_loss(model, examples, stats, cfg, batch_size):
-    """Mean per-element loss over a fixed example list, no gradients."""
+def _epoch_loss(model, split, stats, cfg):
+    """Mean per-element loss over a split's (x, p, h) tiles, no gradients."""
     total = 0.0
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo : lo + batch_size]
-        xn, xr, pr, hr = _batch_arrays(chunk, stats)
-        mp, mh = model.forward(Tensor(xn), training=False)
+    for lo in range(0, len(split[0]), cfg.batch_size):
+        xr, pr, hr = (a[lo : lo + cfg.batch_size] for a in split)
+        mp, mh = model.forward(Tensor(normalize_values(xr, stats)), training=False)
         val = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h).item()
-        total += val * len(chunk)
-    return total / len(examples)
+        total += val * len(xr)
+    return total / len(split[0])
 
 
 def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
@@ -277,10 +277,9 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     split_rng = np.random.Generator(np.random.PCG64(cfg.seed))
     train_idx, val_idx = split_tracks(len(tracks), VAL_FRACTION, split_rng)
 
-    per_track = [make_ground_truth(mix, drums) for mix, drums in tracks]
-    train_examples = [e for i in train_idx for e in per_track[i]]
-    val_examples = [e for i in val_idx for e in per_track[i]]
-    stats = compute_global_stats([e.x for e in train_examples])
+    train_split = _split_tiles(tracks, train_idx)
+    val_split = _split_tiles(tracks, val_idx)
+    stats = compute_global_stats(map(MagPatch, train_split[0][:, 0]))
     if not stats.max_val > stats.min_val:
         raise TrainingError(
             "training mixtures have no magnitude range (log-magnitude min "
@@ -299,12 +298,11 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
         lr_used = state.lr
-        order = state.rng.permutation(len(train_examples))
+        order = state.rng.permutation(len(train_split[0]))
         total = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            chunk = [train_examples[i] for i in order[lo : lo + cfg.batch_size]]
-            xn, xr, pr, hr = _batch_arrays(chunk, stats)
-            mp, mh = model.forward(Tensor(xn), training=True)
+            xr, pr, hr = (a[order[lo : lo + cfg.batch_size]] for a in train_split)
+            mp, mh = model.forward(Tensor(normalize_values(xr, stats)), training=True)
             loss = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h)
             value = loss.item()
             if not math.isfinite(value):
@@ -315,9 +313,9 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
             model.store.zero_grad()
             loss.backward()
             adam_step(model.store, state)
-            total += value * len(chunk)
-        train_loss = total / len(train_examples)
-        val_loss = _epoch_loss(model, val_examples, stats, cfg, cfg.batch_size)
+            total += value * len(xr)
+        train_loss = total / len(order)
+        val_loss = _epoch_loss(model, val_split, stats, cfg)
         if not math.isfinite(val_loss):
             raise TrainingError(
                 f"validation loss became non-finite in epoch {epoch}; "

@@ -20,6 +20,7 @@ from hpsep.dsp import (
     normalize_values,
     patchify,
     stft,
+    tiles,
 )
 
 SR = 44100
@@ -172,20 +173,33 @@ class TestPatchify:
         assert all(p.values.base is base for p in patches)
         assert not np.shares_memory(base, mag)
 
-    @pytest.mark.parametrize("frames", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("frames", [1, 127, 128, 129, 300, 600])
     def test_roundtrip_bit_exact(self, rng, frames):
         mag = np.abs(rng.standard_normal((N_BINS, frames)))
-        tiles = [p.values for p in patchify(mag)]
-        assert len(tiles) == -(-frames // PATCH_FRAMES)
-        np.testing.assert_array_equal(depatchify(tiles, frames), mag)
+        n = -(-frames // PATCH_FRAMES)
+        patches = [p.values for p in patchify(mag)]
+        assert len(patches) == n
+        np.testing.assert_array_equal(depatchify(patches, frames), mag)
+        # the array layout: n tiles in the network's batch layout, all views
+        # of one zero-padded copy, holding what the records hold
+        t = tiles(mag)
+        assert t.shape == (n, 1, N_BINS, PATCH_FRAMES)
+        assert t.base.shape == (N_BINS, n * PATCH_FRAMES) and not np.shares_memory(t, mag)
+        assert all(np.shares_memory(t[i], t.base) for i in range(n))
+        assert np.all(t.base[:, frames:] == 0.0)
+        for i, p in enumerate(patches):
+            np.testing.assert_array_equal(p, t[i, 0])
+        np.testing.assert_array_equal(depatchify(list(t[:, 0]), frames), mag)
 
     def test_wrong_bins_rejected(self, rng):
-        with pytest.raises(ValueError):
-            patchify(np.abs(rng.standard_normal((100, 50))))
+        for layout in (patchify, tiles):
+            with pytest.raises(ValueError):
+                layout(np.abs(rng.standard_normal((100, 50))))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            patchify(np.zeros((N_BINS, 0)))
+        for layout in (patchify, tiles):
+            with pytest.raises(ValueError, match="empty"):
+                layout(np.zeros((N_BINS, 0)))
 
     def test_depatchify_frame_count_enforced(self):
         # two tiles hold 129..256 frames; fewer leaves a tile of pure padding

@@ -17,6 +17,7 @@ from hpsep.training import (
     TrainConfig,
     TrainingError,
     adam_step,
+    ground_truth_tiles,
     init_train_state,
     make_ground_truth,
     masking_loss,
@@ -235,6 +236,12 @@ class TestGroundTruth:
             assert tile.values.shape == (N_BINS, PATCH_FRAMES)
             assert np.all(tile.values[:, frames - PATCH_FRAMES:] == 0.0)
             assert np.any(tile.values[:, : frames - PATCH_FRAMES] > 0.0)
+        # the records hold what the arrays hold, tile for tile
+        arrays = ground_truth_tiles(mix, drums)
+        for k, a in enumerate(arrays):
+            assert a.shape == (2, 1, N_BINS, PATCH_FRAMES)
+            for i, e in enumerate(examples):
+                np.testing.assert_array_equal((e.x, e.p, e.h)[k].values, a[i, 0])
 
 
 class TestSplit:
@@ -328,10 +335,10 @@ class TestTrainLoop:
         ("outdir", ["outdir"], "checkpoint path .*outdir is a directory"),
     ], ids=["no-directory", "is-directory"])
     def test_refused_before_any_stft(self, tmp_path, monkeypatch, out, made, message):
-        def no_stft(mix, drums):
-            raise AssertionError("make_ground_truth ran before the refusal")
+        def no_stft(*args, **kwargs):
+            raise AssertionError("an STFT ran before the refusal")
 
-        monkeypatch.setattr(training, "make_ground_truth", no_stft)
+        monkeypatch.setattr(training, "stft", no_stft)
         for name in made:
             (tmp_path / name).mkdir()
         with pytest.raises(TrainingError, match=message):
