@@ -10,6 +10,17 @@ Both medians span 17 bins or frames, the lengths of FitzGerald's
 median-filtering separation (DAFx 2010). This classical method needs no
 training and serves as the reference point the learned separator is
 compared against.
+
+Each median runs along rows as one 1-D filter over the whole array:
+every row is padded at both ends by half a window of its own mirrored
+values (numpy's ``"symmetric"``, which is ndimage's ``"reflect"``), the
+padded rows are filtered end to end as one flat signal, and each row's
+interior is kept. A window centred inside a row reads only that row and
+its own padding, and a median selects a value without arithmetic, so
+the envelopes equal those of a 2-D ``median_filter`` of shape (1, 17) or
+(17, 1) with ``mode="reflect"`` bit for bit. SciPy runs a 1-D input
+through its dedicated 1-D rank filter, several times faster than the
+generic N-D footprint loop that a 2-D call takes.
 """
 
 from __future__ import annotations
@@ -26,6 +37,14 @@ L_PERC = 17  # median length along frequency, bins (percussive enhancement)
 _EPS = 1e-12  # added to the mask denominator, half of it to each numerator
 
 
+def _row_medians(a, length):
+    """Median of each row of 2-D ``a`` over ``length`` values, mirrored at its ends."""
+    half = length // 2
+    padded = np.pad(a, ((0, 0), (half, half)), mode="symmetric")
+    out = ndimage.median_filter(padded.reshape(-1), size=length)
+    return out.reshape(padded.shape)[:, half : half + a.shape[1]]
+
+
 def median_hpss(mag):
     """Percussive and harmonic masks from median-filtered power spectrograms.
 
@@ -38,18 +57,28 @@ def median_hpss(mag):
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2:
         raise ValueError(f"expected a 2-D magnitude matrix, got shape {mag.shape}")
-    if float(mag.min()) < 0.0:
-        raise ValueError("magnitude input must be nonnegative")
+    # NaN fails both comparisons, so it is refused along with Inf
+    if not (0.0 <= mag.min() and mag.max() < np.inf):
+        raise ValueError("magnitude input must be finite and nonnegative")
 
     power_spec = mag * mag
-    harm_env = ndimage.median_filter(power_spec, size=(1, L_HARM), mode="reflect")
-    perc_env = ndimage.median_filter(power_spec, size=(L_PERC, 1), mode="reflect")
+    harm_env = _row_medians(power_spec, L_HARM)
+    perc_env = _row_medians(power_spec.T, L_PERC).T
+    del power_spec
 
-    pp = perc_env**2
-    hh = harm_env**2
-    denom = pp + hh + _EPS
+    # in place to hold fewer arrays, in the order (pp + hh) + eps and
+    # (pp + half) / denom that the tests pin bit for bit; pp is made
+    # C-contiguous because it becomes the returned percussive mask
+    pp = np.square(perc_env, order="C")
+    del perc_env
+    hh = np.square(harm_env, out=harm_env)
+    denom = np.add(pp, hh)
+    denom += _EPS
     half = 0.5 * _EPS
-    return (pp + half) / denom, (hh + half) / denom
+    pp += half
+    pp /= denom
+    hh += half
+    return pp, np.divide(hh, denom, out=denom)
 
 
 def median_separate(samples):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from hpsep.baseline import median_hpss, median_separate
+from hpsep.baseline import L_HARM, L_PERC, median_hpss, median_separate
 
 
 @pytest.fixture
@@ -49,8 +50,33 @@ class TestMedianHpss:
         np.testing.assert_allclose(scaled_h, base_h, atol=1e-10)
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            median_hpss(np.full((4, 4), -1.0))
+        # NaN and Inf are refused too, before any filtering
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            mag = np.ones((4, 4))
+            mag[1, 2] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                median_hpss(mag)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(512, 1), (512, 3), (512, 8), (512, 9), (512, 17), (64, 80), (512, 863)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    def test_masks_match_2d_median_filter(self, rng, shape):
+        # quantized values give ties; zero rows and columns give empty envelopes
+        mag = np.round(4.0 * np.abs(rng.standard_normal(shape))) / 4.0
+        mag[::7] = 0.0
+        mag[:, ::5] = 0.0
+        power = mag * mag
+        harm = ndimage.median_filter(power, size=(1, L_HARM), mode="reflect")
+        perc = ndimage.median_filter(power, size=(L_PERC, 1), mode="reflect")
+        pp = perc**2
+        hh = harm**2
+        denom = pp + hh + 1e-12
+        mask_p, mask_h = median_hpss(mag)
+        np.testing.assert_array_equal(mask_p, (pp + 0.5e-12) / denom)
+        np.testing.assert_array_equal(mask_h, (hh + 0.5e-12) / denom)
+        assert mask_p.flags.c_contiguous and mask_h.flags.c_contiguous
 
 
 class TestMedianSeparate:
