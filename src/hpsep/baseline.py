@@ -63,22 +63,14 @@ def median_hpss(mag):
 
     power_spec = mag * mag
     harm_env = _row_medians(power_spec, L_HARM)
-    perc_env = _row_medians(power_spec.T, L_PERC).T
-    del power_spec
+    # the copy keeps the percussive mask C-contiguous, like the harmonic one
+    perc_env = np.ascontiguousarray(_row_medians(power_spec.T, L_PERC).T)
 
-    # in place to hold fewer arrays, in the order (pp + hh) + eps and
-    # (pp + half) / denom that the tests pin bit for bit; pp is made
-    # C-contiguous because it becomes the returned percussive mask
-    pp = np.square(perc_env, order="C")
-    del perc_env
-    hh = np.square(harm_env, out=harm_env)
-    denom = np.add(pp, hh)
-    denom += _EPS
+    pp = perc_env**2
+    hh = harm_env**2
+    denom = pp + hh + _EPS
     half = 0.5 * _EPS
-    pp += half
-    pp /= denom
-    hh += half
-    return pp, np.divide(hh, denom, out=denom)
+    return (pp + half) / denom, (hh + half) / denom
 
 
 def median_separate(samples):

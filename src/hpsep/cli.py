@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 any module error (message on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -108,7 +109,13 @@ def _cmd_param_count(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process and reused by every ``main`` call.
+
+    Parsing leaves the parser unchanged, and building it costs more than
+    parsing, so a process that calls ``main`` many times builds it once.
+    """
     parser = argparse.ArgumentParser(
         prog="hpsep",
         description="Harmonic/percussive separation: synthesis, training, "

@@ -458,7 +458,11 @@ class TestCli:
         assert cli.main([]) == 2
         assert cli.main(["separate"]) == 2
         assert cli.main(["no-such-command"]) == 2
+        # one parser serves every call, and the refused calls leave it fit for the next
+        assert cli._build_parser() is cli._build_parser()
         capsys.readouterr()
+        assert cli.main(["param-count"]) == 0
+        assert capsys.readouterr().out.strip() == "552062"
 
     def test_module_errors_exit_1(self, tmp_path, capsys):
         rc = cli.main(["param-count", "--config", str(tmp_path / "missing.cfg")])
