@@ -11,6 +11,8 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .audio_io import read_wav, write_wav
 from .baseline import median_separate
 from .config import load_run_config, load_synth_spec
@@ -71,8 +73,9 @@ def _split_file(args, split):
 
 
 def _cmd_separate(args):
-    return _split_file(
-        args, lambda samples: separate_samples(*load_checkpoint(args.ckpt), samples))
+    # the network runs in float32; masking and the iSTFT stay float64
+    return _split_file(args, lambda samples: separate_samples(
+        *load_checkpoint(args.ckpt, dtype=np.float32), samples))
 
 
 def _cmd_baseline(args):

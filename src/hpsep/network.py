@@ -451,7 +451,9 @@ def load_checkpoint(path, dtype=np.float64):
 
     Rejects unknown magics and versions, a stored LeakyReLU slope other
     than ``LEAKY_ALPHA``, non-finite stats and records that hold NaN or
-    Inf. Records are matched as the model is built (see
+    Inf. Each record is cast to ``dtype``, and one whose finite values
+    overflow it (a float64 1e39 read as float32) is refused by name, not
+    loaded as Inf. Records are matched as the model is built (see
     ``ParamStore``), and none may be left over, so a corrupt or hostile
     file fails with ValueError having allocated about its own size, never
     a model larger than the file.
@@ -494,7 +496,10 @@ def load_checkpoint(path, dtype=np.float64):
             stored = np.frombuffer(payload, dtype=dt).reshape(dims)
             if not np.isfinite(stored).all():
                 raise ValueError(f"record {name!r} holds non-finite values")
-            arrays[name] = stored.astype(dtype)
+            with np.errstate(over="ignore"):
+                arrays[name] = stored.astype(dtype)
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"record {name!r} overflows {np.dtype(dtype).name}")
 
     kernels = []
     while (w := arrays.get(f"branch{len(kernels)}.enc0.layer0.conv.weight")) is not None:

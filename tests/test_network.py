@@ -410,6 +410,23 @@ class TestMaskSeparator:
         for name, p in model.store.params.items():
             assert p.grad is not None and p.grad.dtype == np.float32, name
 
+    # what ``hpsep separate`` relies on: a float64 checkpoint loaded in
+    # float32 gives the float64 masks of a full default tile to 1.1e-6 here
+    FLOAT32_MASK_ATOL = 1e-5
+
+    def test_float32_masks_of_one_checkpoint_match_float64(self, tmp_path):
+        model = MaskSeparator(NetworkConfig(), seed=37)
+        randomize_bn(model.store, 37)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        x = np.random.default_rng(37).random((1, 512, 128))
+        want = load_checkpoint(path)[0].forward(x, training=False)
+        got = load_checkpoint(path, dtype=np.float32)[0].forward(
+            x.astype(np.float32), training=False)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and g.shape == w.shape == (1, 512, 128)
+            np.testing.assert_allclose(g.data, w.data, rtol=0.0, atol=self.FLOAT32_MASK_ATOL)
+
     @pytest.mark.parametrize("branch_index", [0, 1, 2])
     def test_every_branch_influences_the_masks(self, branch_index):
         model = MaskSeparator(tiny_cfg(), seed=4)
@@ -687,6 +704,16 @@ class TestCheckpoint:
         path.write_bytes(_with_first_value(path.read_bytes(), "head_perc.bias", value))
         with pytest.raises(ValueError, match="'head_perc.bias' holds non-finite"):
             load_checkpoint(path)
+
+    def test_record_that_overflows_the_dtype_is_refused_by_name(self, tmp_path):
+        model = MaskSeparator(tiny_cfg(), seed=27)
+        model.store.params["head_harm.bias"].data[0] = 1e39  # finite, past float32's max
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        with pytest.raises(ValueError, match="record 'head_harm.bias' overflows float32"):
+            load_checkpoint(path, dtype=np.float32)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.store.params["head_harm.bias"].data[0] == 1e39
 
     @pytest.mark.parametrize("name, value", [("head_perc.bias", np.nan),
                                              ("branch0.enc0.layer0.bn.running_var", np.inf)])

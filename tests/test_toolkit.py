@@ -29,7 +29,7 @@ from hpsep.data import (
     write_dataset,
 )
 from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, WIN_LENGTH, normalize_values, stft
-from hpsep.network import MaskSeparator, NetworkConfig, save_checkpoint
+from hpsep.network import MaskSeparator, NetworkConfig, load_checkpoint, save_checkpoint
 from hpsep.training import TrainConfig
 from hpsep.dsp import GlobalStats
 from hpsep.metrics import read_report
@@ -413,6 +413,14 @@ class TestPipeline:
         np.testing.assert_array_equal(mask_p, np.hstack(tiles_p)[:, :600])
         np.testing.assert_array_equal(mask_h, np.hstack(tiles_h)[:, :600])
 
+    def test_estimate_masks_runs_a_float32_model_in_float32(self, tmp_path):
+        _, stats, ckpt = small_checkpoint(tmp_path)
+        model, _ = load_checkpoint(ckpt, dtype=np.float32)
+        spec = stft(np.random.default_rng(10).normal(size=299 * HOP - 100) * 0.1)
+        assert spec.frames == 300
+        for mask in estimate_masks(model, stats, spec):
+            assert mask.dtype == np.float32 and mask.shape == (N_BINS, 300)
+
     def test_estimate_masks_peak_memory_is_flat_in_tiles(self):
         # one tile per forward: eight tiles may add to one tile's peak no
         # more than twice their masks (the tile list and the joined copy)
@@ -521,6 +529,37 @@ class TestCli:
         ckpt.write_bytes(blob[:at] + struct.pack("<d", np.nan) + blob[at + 8 :])
         assert self.separate_with(tmp_path, ckpt) == 1
         assert "hpsep: error: record 'head_perc.bias'" in capsys.readouterr().err
+
+    def test_separate_refuses_a_record_that_overflows_float32(self, tmp_path, capsys):
+        model, stats, ckpt = small_checkpoint(tmp_path)
+        model.store.params["head_perc.bias"].data[0] = 1e39  # finite, past float32's max
+        save_checkpoint(ckpt, model.cfg, stats, model.store)
+        assert self.separate_with(tmp_path, ckpt) == 1
+        assert ("hpsep: error: record 'head_perc.bias' overflows float32"
+                in capsys.readouterr().err)
+
+    def test_separate_runs_the_network_in_float32(self, tmp_path, monkeypatch, capsys):
+        loaded = []
+
+        def spy(path, dtype=np.float64):
+            loaded.append(np.dtype(dtype))
+            return load_checkpoint(path, dtype=dtype)
+
+        monkeypatch.setattr(cli, "load_checkpoint", spy)
+        model, stats, ckpt = small_checkpoint(tmp_path)
+        samples = np.random.default_rng(12).normal(size=4 * 44100) * 0.1  # three tiles
+        assert stft(samples).frames > 2 * PATCH_FRAMES
+        mix = tmp_path / "mix.wav"
+        write_wav(mix, samples)
+        samples, _ = read_wav(mix)
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        assert cli.main(["separate", "--ckpt", str(ckpt), "--in", str(mix),
+                         "--out-perc", str(out_p), "--out-harm", str(out_h)]) == 0
+        capsys.readouterr()
+        assert loaded == [np.float32]
+        for out, want in zip((out_p, out_h), separate_samples(model, stats, samples)):
+            got, _ = read_wav(out)
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("command", ["separate", "baseline"])
     def test_silent_input_writes_silence(self, command, tmp_path, capsys):
