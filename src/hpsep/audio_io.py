@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 from scipy.io import wavfile
 
-__all__ = ["AudioError", "SAMPLE_RATE", "read_wav", "write_wav"]
+__all__ = ["AudioError", "SAMPLE_RATE", "read_wav", "wav_samples", "write_wav"]
 
 SAMPLE_RATE = 44100
 _PCM16_SCALE = 32768.0
@@ -68,11 +68,18 @@ def read_wav(path):
     return samples, rate
 
 
-def write_wav(path, samples):
-    """Write mono float-32 samples at SAMPLE_RATE."""
+def wav_samples(path, samples):
+    """``samples`` as the float-32 mono array ``write_wav`` writes; refusals name ``path``."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
-        raise AudioError(f"refusing to write non-mono data of shape {samples.shape}")
+        raise AudioError(f"refusing to write non-mono data of shape {samples.shape} to {path}")
+    with np.errstate(over="ignore"):  # a finite float64 beyond float32's range casts to Inf
+        samples = samples.astype(np.float32, copy=False)
     if not np.all(np.isfinite(samples)):
-        raise AudioError("refusing to write non-finite samples")
-    wavfile.write(path, SAMPLE_RATE, samples.astype(np.float32))
+        raise AudioError(f"refusing to write non-finite float32 samples to {path}")
+    return samples
+
+
+def write_wav(path, samples):
+    """Write mono float-32 samples at SAMPLE_RATE."""
+    wavfile.write(path, SAMPLE_RATE, wav_samples(path, samples))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, write_wav
+from .audio_io import read_wav, wav_samples, write_wav
 from .baseline import median_separate
 from .config import load_run_config, load_synth_spec
 from .data import load_dataset, read_track, synth_track, track_ids, write_dataset
@@ -66,6 +66,7 @@ def _split_file(args, split):
         raise ValueError(f"--out-perc and --out-harm are the same file: {args.out_perc}")
     samples, _ = read_wav(args.infile)
     perc, harm = split(samples)
+    harm = wav_samples(args.out_harm, harm)  # refused here, no percussive file is left
     write_wav(args.out_perc, perc)
     write_wav(args.out_harm, harm)
     print(f"wrote {args.out_perc} and {args.out_harm}")

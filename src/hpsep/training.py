@@ -16,10 +16,9 @@ one length, so stft -> magnitude -> ``dsp.tiles`` gives them one framing.
 of x, p and h, and a batch indexes all three with one set of rows.
 
 Optimization is ADAM with bias correction. After each epoch the validation
-loss drives a plateau schedule: no improvement (a decrease of more than
-IMPROVE_TOL) for 3 epochs halves the learning rate, none for 15 stops the
-run. The split is at track level, VAL_FRACTION of the tracks held out, so
-no validation content is ever trained on.
+loss drives a plateau schedule set by TrainConfig's class constants: each 3
+epochs without a fall of more than IMPROVE_TOL halve the learning rate, 15
+stop the run. The split holds out VAL_FRACTION of the tracks, none trained on.
 
 The loop is single-threaded; with a fixed seed two runs produce
 bit-identical trajectories (64-bit arithmetic).
@@ -32,6 +31,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,30 +69,24 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    lambda_p: float = 0.5
-    lambda_h: float = 0.5
+    """The fields are run-config keys; the loss weights and schedule are fixed ClassVars."""
+
+    lambda_p: ClassVar[float] = 0.5
+    lambda_h: ClassVar[float] = 0.5
+    plateau_patience: ClassVar[int] = 3
+    plateau_factor: ClassVar[float] = 0.5
+    stop_patience: ClassVar[int] = 15
     lr0: float = 1e-3
     batch_size: int = 8
-    plateau_patience: int = 3
-    plateau_factor: float = 0.5
-    stop_patience: int = 15
     max_epochs: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails every range check
-        for name in ("lambda_p", "lambda_h"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, "
-                                 f"got {getattr(self, name)}")
+        # written so that NaN fails the range check
         if not 0.0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ValueError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
-        if self.plateau_patience < 1 or self.stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -113,8 +107,7 @@ class TrainState:
     rng: np.random.Generator
     step: int = 0
     best_val: float = math.inf
-    epochs_since_improve_lr: int = 0
-    epochs_since_improve_stop: int = 0
+    stale_epochs: int = 0  # epochs since the last improvement
 
 
 class Decision(enum.Enum):
@@ -123,7 +116,8 @@ class Decision(enum.Enum):
     STOP = "stop"
 
 
-def masking_loss(mask_p, mask_h, x, p, h, lambda_p=0.5, lambda_h=0.5):
+def masking_loss(mask_p, mask_h, x, p, h, lambda_p=TrainConfig.lambda_p,
+                 lambda_h=TrainConfig.lambda_h):
     """Weighted masking error, averaged over all residual elements.
 
     masks are Tensors; x, p, h are raw magnitude arrays of the same shape.
@@ -184,16 +178,13 @@ def schedule_epoch(val_loss, state, cfg):
     """
     if val_loss < state.best_val - IMPROVE_TOL:
         state.best_val = val_loss
-        state.epochs_since_improve_lr = 0
-        state.epochs_since_improve_stop = 0
+        state.stale_epochs = 0
         return Decision.CONTINUE
-    state.epochs_since_improve_lr += 1
-    state.epochs_since_improve_stop += 1
-    if state.epochs_since_improve_stop >= cfg.stop_patience:
+    state.stale_epochs += 1
+    if state.stale_epochs >= cfg.stop_patience:
         return Decision.STOP
-    if state.epochs_since_improve_lr >= cfg.plateau_patience:
+    if state.stale_epochs % cfg.plateau_patience == 0:
         state.lr *= cfg.plateau_factor
-        state.epochs_since_improve_lr = 0
         return Decision.REDUCE_LR
     return Decision.CONTINUE
 
@@ -216,11 +207,11 @@ def make_ground_truth(mix, drums):
     return [Example(*(MagPatch(a[0]) for a in t)) for t in zip(*ground_truth_tiles(mix, drums))]
 
 
-def split_tracks(n_tracks, val_fraction, rng):
-    """Shuffled track-level split; at least one track on each side."""
+def split_tracks(n_tracks, rng):
+    """Shuffled track-level split, VAL_FRACTION held out; at least one track on each side."""
     if n_tracks < 2:
         raise TrainingError("need at least 2 tracks for a train/validation split")
-    n_val = min(n_tracks - 1, max(1, round(val_fraction * n_tracks)))
+    n_val = min(n_tracks - 1, max(1, round(VAL_FRACTION * n_tracks)))
     order = rng.permutation(n_tracks)
     return sorted(order[n_val:].tolist()), sorted(order[:n_val].tolist())
 
@@ -249,12 +240,12 @@ def _epoch_loss(model, split, stats, cfg):
     for lo in range(0, len(split[0]), cfg.batch_size):
         xr, pr, hr = (a[lo : lo + cfg.batch_size] for a in split)
         mp, mh = model.forward(Tensor(normalize_values(xr, stats)), training=False)
-        val = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h).item()
+        val = masking_loss(mp, mh, xr, pr, hr).item()
         total += val * len(xr)
     return total / len(split[0])
 
 
-def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
+def train(tracks, net_cfg=None, cfg=None, *, checkpoint_path):
     """Fit a separator on (mixture, drums) waveform pairs.
 
     Saves a checkpoint whenever the validation loss improves (and once
@@ -275,7 +266,7 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
     if os.path.isdir(checkpoint_path):
         raise TrainingError(f"checkpoint path {checkpoint_path} is a directory")
     split_rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    train_idx, val_idx = split_tracks(len(tracks), VAL_FRACTION, split_rng)
+    train_idx, val_idx = split_tracks(len(tracks), split_rng)
 
     train_split = _split_tiles(tracks, train_idx)
     val_split = _split_tiles(tracks, val_idx)
@@ -303,7 +294,7 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
         for lo in range(0, len(order), cfg.batch_size):
             xr, pr, hr = (a[order[lo : lo + cfg.batch_size]] for a in train_split)
             mp, mh = model.forward(Tensor(normalize_values(xr, stats)), training=True)
-            loss = masking_loss(mp, mh, xr, pr, hr, cfg.lambda_p, cfg.lambda_h)
+            loss = masking_loss(mp, mh, xr, pr, hr)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingError(
@@ -326,7 +317,7 @@ def train(tracks, net_cfg=None, cfg=None, checkpoint_path="separator.ckpt"):
                 [epoch, f"{train_loss:.10g}", f"{val_loss:.10g}", f"{lr_used:.10g}"]
             )
         decision = schedule_epoch(val_loss, state, cfg)
-        if state.epochs_since_improve_stop == 0:
+        if state.stale_epochs == 0:
             save_checkpoint(checkpoint_path, model.cfg, stats, model.store)
         if decision is Decision.STOP:
             stopped = True

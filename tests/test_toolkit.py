@@ -1,6 +1,7 @@
 """WAV I/O, synthesis, config parsing, dataset plumbing, and CLI tests."""
 
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -112,8 +113,12 @@ class TestWavIO:
             write_wav(tmp_path / "x.wav", np.zeros((10, 2)))
 
     def test_write_rejects_non_finite(self, tmp_path):
-        with pytest.raises(AudioError, match="non-finite"):
-            write_wav(tmp_path / "x.wav", np.array([0.0, np.nan]))
+        path = tmp_path / "x.wav"
+        for samples in ([0.0, np.nan], [1e39]):  # 1e39 is finite, but not as float32
+            with pytest.raises(AudioError,
+                               match=f"non-finite float32 samples to {re.escape(str(path))}$"):
+                write_wav(path, np.array(samples))
+        assert not path.exists()
 
 
 def truncated_wav(path):
@@ -234,13 +239,8 @@ RUN_KEYS = {
     "layers_per_block": (NetworkConfig, int, "2"),
     "depth": (NetworkConfig, int, "2"),
     "final_block_layers": (NetworkConfig, int, "2"),
-    "lambda_p": (TrainConfig, float, "1"),
-    "lambda_h": (TrainConfig, float, "2"),
     "lr0": (TrainConfig, float, "1"),
     "batch_size": (TrainConfig, int, "4"),
-    "plateau_patience": (TrainConfig, int, "2"),
-    "plateau_factor": (TrainConfig, float, "0.25"),
-    "stop_patience": (TrainConfig, int, "7"),
     "max_epochs": (TrainConfig, int, "3"),
     "seed": (TrainConfig, int, "9"),
 }
@@ -253,10 +253,12 @@ SYNTH_KEYS = {
     "partials": (int, "5"),
 }
 
-# Keys that once set a value that is now a module constant, each with the
-# config it belonged to.
+# Keys that once set a value that is now a module or class constant, each
+# with the config it belonged to.
 REMOVED_KEYS = {
-    **{key: "run" for key in ("leaky_alpha", "val_fraction", "improve_tol")},
+    **{key: "run" for key in (
+        "leaky_alpha", "val_fraction", "improve_tol", "lambda_p", "lambda_h",
+        "plateau_patience", "plateau_factor", "stop_patience")},
     **{key: "synth" for key in (
         "f0_min_hz", "f0_max_hz", "partial_rolloff", "attack_s", "release_s",
         "onset_rate_hz", "burst_decay_ms", "band_emphasis", "gain_harm", "gain_perc")},
@@ -310,8 +312,8 @@ class TestConfig:
 
     def test_invalid_combination_reported_as_config_error(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("plateau_factor = 1.5\n")
-        with pytest.raises(ConfigError, match="plateau_factor"):
+        path.write_text("batch_size = 0\n")
+        with pytest.raises(ConfigError, match="^batch_size and max_epochs must be >= 1$"):
             load_run_config(path)
 
     def test_synth_spec_loads(self, tmp_path):
@@ -603,6 +605,28 @@ class TestCli:
         assert "sample rate 22050 Hz" in capsys.readouterr().err
         assert not out_p.exists() and not out_h.exists()
 
+    def test_baseline_refuses_stems_beyond_float32_and_writes_neither(
+            self, tmp_path, monkeypatch, capsys):
+        # a full-scale float32 square wave: separation overshoots the input's
+        # peak, so the stems leave float32's range
+        t = np.arange(44100) / 44100
+        square = np.where(np.sin(2 * np.pi * 220 * t) >= 0, 1.0, -1.0)
+        mix = tmp_path / "mix.wav"
+        wavfile.write(mix, 44100, (np.finfo(np.float32).max * square).astype(np.float32))
+        out_p, out_h = tmp_path / "p.wav", tmp_path / "h.wav"
+        args = self.split_args("baseline", tmp_path, mix, out_p, out_h)
+        assert cli.main(args) == 1
+        assert re.search(f"^hpsep: error: refusing to write non-finite float32 samples to "
+                         f"({re.escape(str(out_p))}|{re.escape(str(out_h))})$",
+                         capsys.readouterr().err, re.M)
+        assert not out_p.exists() and not out_h.exists()
+        # a stem that could be written is not, when the other one is refused
+        for gain_p, gain_h, refused in ((0.0, 10.0, out_h), (10.0, 0.0, out_p)):
+            monkeypatch.setattr(cli, "median_separate", lambda x: (gain_p * x, gain_h * x))
+            assert cli.main(args) == 1
+            assert f"non-finite float32 samples to {refused}" in capsys.readouterr().err
+            assert not out_p.exists() and not out_h.exists()
+
     @pytest.mark.parametrize("command", ["separate", "baseline", "eval"])
     def test_resample_off_ok_is_not_an_option(self, command, tmp_path, capsys):
         mix = tmp_path / "mix.wav"
@@ -669,10 +693,14 @@ class TestCli:
     @pytest.mark.parametrize("line, message", [
         ("lr0 = nan", "lr0 must be finite and positive, got nan"),
         ("lr0 = inf", "lr0 must be finite and positive, got inf"),
-        ("lambda_p = nan", "lambda_p must be finite and nonnegative, got nan"),
-        ("lambda_h = 1e400", "lambda_h must be finite and nonnegative, got inf"),
+        ("lambda_p = nan", "unknown key 'lambda_p'"),
+        ("lambda_h = 1e400", "unknown key 'lambda_h'"),
+        ("plateau_patience = 2", "unknown key 'plateau_patience'"),
+        ("plateau_factor = 0.25", "unknown key 'plateau_factor'"),
+        ("stop_patience = 7", "unknown key 'stop_patience'"),
         ("improve_tol = nan", "unknown key 'improve_tol'"),
-    ], ids=["lr0-nan", "lr0-inf", "lambda_p-nan", "lambda_h-overflow", "improve_tol-nan"])
+    ], ids=["lr0-nan", "lr0-inf", "lambda_p-nan", "lambda_h-overflow", "plateau_patience",
+            "plateau_factor", "stop_patience", "improve_tol-nan"])
     def test_train_refuses_bad_config_before_reading_any_wav(
             self, line, message, tmp_path, monkeypatch, capsys):
         def no_reading(root):

@@ -170,22 +170,30 @@ class TestScheduler:
         decisions, lrs, _ = run_history(history)
         assert decisions[-1] is Decision.STOP
         assert Decision.STOP not in decisions[:-1]
-        # reductions fired at stale counts 3, 6, 9, 12; stop wins at 15
+        # epoch i is stale count i: reductions at 3, 6, 9, 12; stop wins at 15
+        assert [i for i, d in enumerate(decisions) if d is Decision.REDUCE_LR] == [3, 6, 9, 12]
         assert lrs[-1] == TrainConfig().lr0 * 0.5**4
 
     def test_improvement_resets_both_counters(self):
         decisions, _, state = run_history([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
         assert decisions[3] is Decision.CONTINUE
-        assert state.epochs_since_improve_stop == 2
+        assert state.stale_epochs == 2
+        # the stale count restarts for the reduction as well as for the stop
+        decisions, lrs, _ = run_history([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+        assert decisions.index(Decision.REDUCE_LR) == 6
+        assert lrs[5] == TrainConfig().lr0
+        # two stale epochs, an improvement, then one stale epoch: no cut
+        decisions, _, _ = run_history([1.0, 1.0, 1.0, 0.5, 0.5])
+        assert decisions == [Decision.CONTINUE] * 5
 
     def test_tolerance_is_strict(self):
         cfg = TrainConfig()
         _, _, state = run_history([1.0], cfg)
         tol = training.IMPROVE_TOL
         assert schedule_epoch(1.0 - tol, state, cfg) is Decision.CONTINUE
-        assert state.epochs_since_improve_stop == 1  # within tolerance: stale
+        assert state.stale_epochs == 1  # within tolerance: stale
         assert schedule_epoch(1.0 - 2 * tol, state, cfg) is Decision.CONTINUE
-        assert state.epochs_since_improve_stop == 0  # beyond tolerance: improved
+        assert state.stale_epochs == 0  # beyond tolerance: improved
 
     def test_decisions_replay_exactly(self):
         history = [3.0, 2.5, 2.5, 2.5, 2.4, 2.4, 2.4, 2.4, 2.4]
@@ -249,21 +257,17 @@ class TestSplit:
         return np.random.Generator(np.random.PCG64(0))
 
     def test_partition_is_disjoint_and_complete(self):
-        train_idx, val_idx = split_tracks(5, 0.2, self.rng())
+        train_idx, val_idx = split_tracks(5, self.rng())
         assert len(val_idx) == 1 and len(train_idx) == 4
         assert sorted(train_idx + val_idx) == list(range(5))
 
     def test_two_tracks_split_one_each(self):
-        train_idx, val_idx = split_tracks(2, 0.2, self.rng())
+        train_idx, val_idx = split_tracks(2, self.rng())
         assert len(train_idx) == len(val_idx) == 1
-
-    def test_half_fraction(self):
-        train_idx, val_idx = split_tracks(10, 0.5, self.rng())
-        assert len(val_idx) == 5
 
     def test_single_track_rejected(self):
         with pytest.raises(TrainingError, match="at least 2"):
-            split_tracks(1, 0.2, self.rng())
+            split_tracks(1, self.rng())
 
 
 def toy_tracks(n=2, seconds=1.55):
