@@ -211,15 +211,18 @@ def read_track(track_dir):
 def load_dataset(root):
     """(id, mixture, drums) of every track under ``root``, in id order.
 
-    A track shorter than one analysis window is refused by its id.
+    A track shorter than one analysis window is refused by its id as soon
+    as it is read, before the tracks after it are.
     """
     root = Path(root)
     ids = track_ids(root)
     if not ids:
         raise FileNotFoundError(f"no track directories with mixture.wav under {root}")
-    dataset = [(tid, *read_track(root / tid)) for tid in ids]
-    for tid, mixture, _ in dataset:
+    dataset = []
+    for tid in ids:
+        mixture, drums = read_track(root / tid)
         if len(mixture) < WIN_LENGTH:
             raise ValueError(f"{tid}: {len(mixture)} samples, shorter than one "
                              f"{WIN_LENGTH}-sample analysis window")
+        dataset.append((tid, mixture, drums))
     return dataset

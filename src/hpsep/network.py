@@ -177,13 +177,16 @@ class CompositeLayer:
     ``state``, registered as ``<name>.conv.*`` and ``<name>.bn.*``. The
     activation is ReLU or LeakyReLU with slope ``LEAKY_ALPHA``.
 
-    In training the three ops are recorded. In inference (``training``
-    False) the layer runs folded: batchnorm's running statistics are folded
-    into the conv weight and bias (Jacob et al. 2018, arXiv:1712.05877), so
-    one ``conv2d`` gives the normalized map. The masks match the unfolded
-    conv -> batchnorm within roundoff (about 1e-15 relative in float64).
-    Both modes write the activation with the same op, straight into ``out``
-    when it is given.
+    In training the layer records two ops: ``conv2d``, and batchnorm with
+    the activation as one ``batchnorm_act``, whose node keeps only the
+    normalized map (the conv's node keeps only a view of its input). In
+    inference (``training`` False) the layer runs folded: batchnorm's
+    running statistics are folded into the conv weight and bias (Jacob et
+    al. 2018, arXiv:1712.05877), so one ``conv2d`` gives the normalized map,
+    and ``relu`` or ``leaky_relu`` activates it. The masks match the
+    unfolded conv -> batchnorm within roundoff (about 1e-15 relative in
+    float64). Both modes write the activation straight into ``out`` when it
+    is given.
     """
 
     def __init__(self, store, name, c_in, c_out, kernel, rng, dtype, activation="relu"):
@@ -196,18 +199,17 @@ class CompositeLayer:
         self.state = RunningStats(c_out, dtype=dtype)
         store.add_buffer(f"{name}.bn.running_mean", self.state.mean)
         store.add_buffer(f"{name}.bn.running_var", self.state.var)
-        self.activation = activation
+        self.alpha = 0.0 if activation == "relu" else LEAKY_ALPHA  # 0 is ReLU
 
     def forward(self, x, training, out=None):
         """The layer's activation, written into the array ``out`` if given."""
         if training:
-            h = T.batchnorm(T.conv2d(x, self.weight, self.bias), self.gamma, self.beta,
-                            self.state, True)
-        else:
-            h = self._folded(x)
-        if self.activation == "relu":
-            return T.relu(h, out=out)
-        return T.leaky_relu(h, LEAKY_ALPHA, out=out)
+            return T.batchnorm_act(T.conv2d(x, self.weight, self.bias), self.gamma,
+                                   self.beta, self.state, self.alpha, out=out)
+        h = self._folded(x)
+        if self.alpha:
+            return T.leaky_relu(h, self.alpha, out=out)
+        return T.relu(h, out=out)
 
     def _folded(self, x):
         """conv -> inference batchnorm as one conv."""

@@ -21,11 +21,12 @@ as its VJP has run, so the saved arrays are freed during the sweep. A
 consumed graph cannot be swept again.
 
 Layout convention: the spatial ops (``conv2d``, ``transposed_conv2``,
-``maxpool2``, ``batchnorm``) take and return batched, channel-major
-``(N, C, H, W)`` feature maps, and refuse any other rank; a single map is
-a batch of one. The elementwise ops and the channel concatenations work
-on any rank. Data is float64 by default; float32 is kept when the caller
-supplies it, through constants, scalars and gradients alike.
+``maxpool2``, ``batchnorm``, ``batchnorm_act``) take and return batched,
+channel-major ``(N, C, H, W)`` feature maps, and refuse any other rank; a
+single map is a batch of one. The elementwise ops and the channel
+concatenations work on any rank. Data is float64 by default; float32 is
+kept when the caller supplies it, through constants, scalars and
+gradients alike.
 
 ``conv2d`` follows a narrow-side rule: its forward pass, input gradient
 and weight gradient each shift whichever of the input or output has fewer
@@ -48,6 +49,13 @@ plane before it is added, and a shift of W or more zeroes the whole tap.
 already sit side by side at the start of one buffer, their concatenation
 is a view of that buffer. ``concat_channels`` is ``concat_prefix`` over a
 fresh ``np.concatenate`` of the parts.
+
+``batchnorm_act`` is training-mode ``batchnorm`` followed by ``relu`` or
+``leaky_relu``, recorded as one node. It writes the activation straight
+into ``out`` and keeps only the normalized map and the per-channel
+inverse deviations; its VJP rebuilds the activation mask from them. It
+shares training-mode batchnorm's statistics and gradient code with
+``batchnorm``, and its results are bit-identical to the two ops'.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ __all__ = [
     "transposed_conv2",
     "maxpool2",
     "batchnorm",
+    "batchnorm_act",
     "relu",
     "leaky_relu",
     "sigmoid",
@@ -573,13 +582,8 @@ class RunningStats:
         self.var = np.ones(channels, dtype=dtype)
 
 
-def batchnorm(x, gamma, beta, state, training):
-    """Per-channel batch normalization.
-
-    Training mode normalizes with the batch statistics over (N, H, W) and
-    updates ``state`` in place; inference mode normalizes with the stored
-    running statistics. Variance is the biased (1/m) estimate throughout.
-    """
+def _bn_inputs(x, gamma, beta, state):
+    """The (N, C, H, W) input of a batchnorm, checked against its C-channel parameters."""
     xb = _maps(x.data)
     c = xb.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -588,42 +592,132 @@ def batchnorm(x, gamma, beta, state, training):
         )
     if state.mean.shape != (c,):
         raise ValueError(f"running stats track {state.mean.shape[0]} channels, input has {c}")
+    return xb
 
+
+def _normalized(xb, mu, var, eps):
+    """(xhat, ivar): xb standardized per channel by mu and var."""
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = xb - mu[None, :, None, None]
+    xhat *= ivar[None, :, None, None]
+    return xhat, ivar
+
+
+def _batch_normalized(xb, state):
+    """``_normalized`` by the batch statistics over (N, H, W).
+
+    Folds those statistics into ``state``'s running mean and variance in
+    place. The variance is the biased (1/m) estimate.
+    """
+    mu = xb.mean(axis=(0, 2, 3))
+    var = xb.var(axis=(0, 2, 3))
+    m = state.momentum
+    state.mean *= m
+    state.mean += (1.0 - m) * mu
+    state.var *= m
+    state.var += (1.0 - m) * var
+    return _normalized(xb, mu, var, state.eps)
+
+
+def _bn_grads(g, xhat, ivar, gdata, needs, training, out=None):
+    """(dx, dgamma, dbeta) of ``gamma * xhat + beta`` for output gradient g.
+
+    ``needs`` flags which of the three to compute. In training, dx also
+    flows through the batch mean and variance. dx is built in ``out`` if
+    given (g itself may be passed), else in one new map, and every later
+    step runs in place; one more map holds the products with xhat.
+    """
+    need_dx, need_dgamma, need_dbeta = needs
+    dgamma = dbeta = dx = tmp = None
+    if need_dgamma:
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=(0, 2, 3))
+    if need_dbeta:
+        dbeta = g.sum(axis=(0, 2, 3))
+    if need_dx:
+        dx = np.multiply(g, gdata[None, :, None, None], out=out)  # dxhat
+        if training:
+            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * ivar
+            mean_dxhat = dx.mean(axis=(0, 2, 3), keepdims=True)
+            tmp = np.multiply(dx, xhat, out=tmp)
+            mean_dxhat_xhat = tmp.mean(axis=(0, 2, 3), keepdims=True)
+            dx -= mean_dxhat
+            dx -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+        dx *= ivar[None, :, None, None]
+    return (dx, dgamma, dbeta)
+
+
+def batchnorm(x, gamma, beta, state, training):
+    """Per-channel batch normalization.
+
+    Training mode normalizes with the batch statistics over (N, H, W) and
+    updates ``state`` in place; inference mode normalizes with the stored
+    running statistics. Variance is the biased (1/m) estimate throughout.
+
+    The network does not call it: training runs ``batchnorm_act``
+    and inference folds batchnorm into the conv. It stays for the
+    acceptance criteria and as the reference ``batchnorm_act`` is tested
+    against.
+    """
+    xb = _bn_inputs(x, gamma, beta, state)
     if training:
-        mu = xb.mean(axis=(0, 2, 3))
-        var = xb.var(axis=(0, 2, 3))
-        m = state.momentum
-        state.mean *= m
-        state.mean += (1.0 - m) * mu
-        state.var *= m
-        state.var += (1.0 - m) * var
+        xhat, ivar = _batch_normalized(xb, state)
     else:
-        mu = state.mean
-        var = state.var
-
-    ivar = 1.0 / np.sqrt(var + state.eps)
-    xhat = (xb - mu[None, :, None, None]) * ivar[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
+        xhat, ivar = _normalized(xb, state.mean, state.var, state.eps)
     gdata = gamma.data
-    need_dx, need_dgamma, need_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    out = gdata[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_dgamma else None
-        dbeta = g.sum(axis=(0, 2, 3)) if need_dbeta else None
-        dx = None
-        if need_dx:
-            dxhat = g * gdata[None, :, None, None]
-            if training:
-                # gradient through the batch mean and variance
-                mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * ivar[None, :, None, None]
-            else:
-                dx = dxhat * ivar[None, :, None, None]
-        return (dx, dgamma, dbeta)
+        return _bn_grads(g, xhat, ivar, gdata, needs, training)
 
     return _record(out, (x, gamma, beta), fn, "batchnorm")
+
+
+def batchnorm_act(x, gamma, beta, state, alpha, out=None):
+    """``leaky_relu(batchnorm(x, gamma, beta, state, True), alpha, out)`` as one op.
+
+    alpha 0 is ``relu``. The values, running statistics and gradients are
+    bit-identical to the two ops', but the map ``gamma * xhat + beta`` is
+    written straight into ``out`` (a channel slice of a dense block's
+    feature buffer, say) and activated there, and the recorded node keeps
+    only ``xhat`` and ``ivar``: its VJP rebuilds the activation mask from
+    them with the forward's own arithmetic, instead of the activation
+    keeping a mask of its own (fused batchnorm and activation; Rota Bulò
+    et al. 2018, arXiv:1712.02616).
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"batchnorm_act needs 0 <= alpha < 1, got {alpha}")
+    xb = _bn_inputs(x, gamma, beta, state)
+    xhat, ivar = _batch_normalized(xb, state)
+    gdata, bdata = gamma.data, beta.data
+
+    def affine(dest):
+        h = np.multiply(gdata[None, :, None, None], xhat, out=dest)
+        h += bdata[None, :, None, None]
+        return h
+
+    h = affine(out)
+    # relu's own constant 0.0, not alpha * h: 0 * h would turn +Inf into NaN
+    # and a negative h into -0.0
+    np.maximum(h, alpha * h if alpha else 0.0, out=h)
+    needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
+
+    def fn(g):
+        # the activation's gradient, written over the rebuilt map
+        gh = affine(None)
+        if alpha:
+            mask = gh > 0
+            np.multiply(g, alpha, out=gh)
+            np.copyto(gh, g, where=mask)
+            del mask  # before _bn_grads allocates its map
+        else:
+            # g times the mask as 1.0 and 0.0: the bits of g * (gh > 0)
+            np.greater(gh, 0.0, out=gh)
+            gh *= g
+        return _bn_grads(gh, xhat, ivar, gdata, needs, True, out=gh)
+
+    return _record(h, (x, gamma, beta), fn, "batchnorm_act")
 
 
 # -- elementwise nonlinearities -------------------------------------------

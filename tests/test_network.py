@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hpsep.network import (
     save_checkpoint,
 )
 from hpsep.tensor import Tensor
+from hpsep.training import masking_loss
 
 FROZEN_DEFAULT_PARAMS = 552_062
 
@@ -170,7 +172,23 @@ class TestFoldedInference:
         assert x.grad is None
         assert all(p.grad is None for p in model.store.params.values())
         model.forward(x, training=True)
-        assert "relu" in recorded
+        assert "batchnorm_act" in recorded
+
+    def test_default_training_step_records_two_nodes_per_layer(self, monkeypatch):
+        # each of the 139 layers records conv2d and batchnorm_act, plus the
+        # concatenation it reads unless that holds only the untracked input;
+        # with the loss a step's tape has 454 nodes
+        model = MaskSeparator(NetworkConfig(), seed=37)
+        x = np.random.default_rng(37).random((1, 1, 16, 16))
+        recorded = []
+        from_op = T._from_op
+        monkeypatch.setattr(T, "_from_op", lambda *a: recorded.append(a[3]) or from_op(*a))
+        mp, mh = model.forward(Tensor(x), training=True)
+        masking_loss(mp, mh, x, 0.3 * x, 0.7 * x)
+        tags = Counter(recorded)
+        assert tags["batchnorm_act"] == 139 and tags["concat_channels"] == 139 - 3
+        assert tags["conv2d"] == 139 + 2  # and the two heads
+        assert len(recorded) == 454
 
     def test_training_mode_does_not_fold(self):
         model = MaskSeparator(tiny_cfg(), seed=35)

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hpsep.tensor import (
     Tensor,
     assert_gradients_match,
     batchnorm,
+    batchnorm_act,
     concat_channels,
     concat_prefix,
     conv2d,
@@ -159,25 +161,42 @@ class TestSweepOrder:
 
 
 def graph_contents(root):
-    """(node links, Tensors captured by VJP closures) reachable from ``root``."""
-    links, captured, seen = [], [], set()
-    todo = [root._node]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
+    """What the graph under ``root`` holds: (links, Tensors, arrays).
+
+    links are the nodes' parent links, Tensors and arrays what their VJP
+    closures capture; each array comes as (op tag of the node, array).
+    """
+    links, captured, arrays = [], [], []
+    nodes, seen_nodes = [root._node], set()
+    while nodes:
+        node = nodes.pop()
+        if id(node) in seen_nodes:
             continue
-        seen.add(id(obj))
-        if isinstance(obj, T._Node):
-            links.extend(obj.parents)
-            todo.extend(p for p in obj.parents if isinstance(p, T._Node))
-            todo.append(obj.backward)
-        elif isinstance(obj, Tensor):
-            captured.append(obj)
-        elif callable(obj) and hasattr(obj, "__closure__"):
-            todo.extend(c.cell_contents for c in obj.__closure__ or ())
-        elif isinstance(obj, (tuple, list)):
-            todo.extend(obj)
-    return links, captured
+        seen_nodes.add(id(node))
+        links.extend(node.parents)
+        nodes.extend(p for p in node.parents if isinstance(p, T._Node))
+        todo, seen = [node.backward], set()
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                captured.append(obj)
+            elif isinstance(obj, np.ndarray):
+                arrays.append((node.op, obj))
+            elif callable(obj) and hasattr(obj, "__closure__"):
+                todo.extend(c.cell_contents for c in obj.__closure__ or ())
+            elif isinstance(obj, (tuple, list)):
+                todo.extend(obj)
+    return links, captured, arrays
+
+
+def memory_owner(arr):
+    """The array that owns the memory ``arr`` views."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 class TestGraphHoldsNodes:
@@ -190,13 +209,32 @@ class TestGraphHoldsNodes:
         x = np.random.default_rng(0).random((2, 1, 8, 8))
         mp, mh = model.forward(Tensor(x), training=True)
         loss = log1p(masking_loss(mp, mh, x, 0.3 * x, 0.7 * x)) - (mp * mh).mean()
-        links, captured = graph_contents(loss)
+        links, captured, _ = graph_contents(loss)
         assert captured == []
         params = {id(t) for t in model.store.params.values()}
         leaves = [p for p in links if isinstance(p, Tensor)]
         assert {id(t) for t in leaves} == params
         assert all(p is None or isinstance(p, T._Node) for p in links
                    if not isinstance(p, Tensor))
+
+    def test_training_graph_keeps_one_map_per_layer_and_no_mask(self):
+        # Beyond the memory the conv and upsampling nodes read (the block
+        # buffers and block outputs), a training forward's graph holds per
+        # layer one float map, BN's normalized input, plus the two sigmoid
+        # outputs; no activation keeps a mask of its own
+        cfg = NetworkConfig(growth_rate=2, layers_per_block=3, depth=1,
+                            final_block_layers=2)
+        model = MaskSeparator(cfg, seed=0)
+        x = np.random.default_rng(0).random((2, 1, 8, 8))
+        mp, mh = model.forward(Tensor(x), training=True)
+        _, _, arrays = graph_contents(mp + mh)
+        assert [(op, a.shape) for op, a in arrays if a.dtype == bool] == []
+        buffers = {id(memory_owner(a)) for op, a in arrays
+                   if op in ("conv2d", "transposed_conv2")}
+        beyond = Counter(op for op, a in arrays if a.ndim == 4 and a.dtype.kind == "f"
+                         and id(memory_owner(a)) not in buffers)
+        layers = 3 * (3 * 3) + 2  # three branches of three 3-layer blocks, the fusion block
+        assert beyond == {"batchnorm_act": layers, "sigmoid": 2}
 
     def test_interior_output_freed_when_dropped(self):
         x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
@@ -230,6 +268,8 @@ FLOAT32_OPS = {
         x, g, b, RunningStats(3, dtype=np.float32), True)),
     "batchnorm_infer": ([(1, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm(
         x, g, b, RunningStats(3, dtype=np.float32), False)),
+    "batchnorm_act": ([(2, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm_act(
+        x, g, b, RunningStats(3, dtype=np.float32), 0.1)),
     "relu": ([(3, 4)], relu),
     "leaky_relu": ([(3, 4)], lambda a: leaky_relu(a, 0.1)),
     "sigmoid": ([(3, 4)], sigmoid),
@@ -819,6 +859,84 @@ class TestBatchNorm:
         assert_gradients_match(loss, [x, gamma, beta], names=["x", "gamma", "beta"])
 
 
+class TestBatchNormAct:
+    """batchnorm_act against the activation of a training-mode batchnorm."""
+
+    @staticmethod
+    def run(fused, alpha, dtype, n, into_buffer, frozen):
+        gen = np.random.default_rng(40)
+        x = Tensor((gen.standard_normal((n, 3, 4, 5)) * 2.0 + 1.0).astype(dtype),
+                   requires_grad=frozen != "x")
+        gamma = Tensor(gen.uniform(0.5, 1.5, 3).astype(dtype), requires_grad=frozen != "gamma")
+        beta = Tensor(gen.normal(0.0, 0.5, 3).astype(dtype), requires_grad=frozen != "beta")
+        proj = gen.standard_normal((n, 3, 4, 5)).astype(dtype)
+        state = RunningStats(3, dtype=dtype)
+        buf = np.full((n, 7, 4, 5), np.nan, dtype=dtype)
+        out = buf[:, 2:5] if into_buffer else None
+        if fused:
+            y = batchnorm_act(x, gamma, beta, state, alpha, out=out)
+        else:
+            h = batchnorm(x, gamma, beta, state, True)
+            y = relu(h, out=out) if alpha == 0.0 else leaky_relu(h, alpha, out=out)
+        if into_buffer:
+            assert y.data.base is buf
+            assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
+        (y * proj).sum().backward()
+        return [y.data, state.mean, state.var, x.grad, gamma.grad, beta.grad]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01], ids=["relu", "leaky_relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("into_buffer", [False, True], ids=["new", "buffer"])
+    @pytest.mark.parametrize("frozen", [None, "x", "gamma", "beta"])
+    def test_bit_identical_to_the_two_ops(self, alpha, dtype, n, into_buffer, frozen):
+        got = self.run(True, alpha, dtype, n, into_buffer, frozen)
+        want = self.run(False, alpha, dtype, n, into_buffer, frozen)
+        assert (got[0] < 0).any() == (alpha > 0) and (got[0] == 0).any() == (alpha == 0)
+        names = ["out", "running_mean", "running_var", "x", "gamma", "beta"]
+        for name, g, w in zip(names, got, want):
+            if name == frozen:
+                assert g is None and w is None
+            else:
+                assert g.dtype == dtype, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2], ids=["relu", "leaky_relu"])
+    def test_gradients_match_finite_differences(self, alpha):
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.standard_normal((2, 2, 4, 3)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.normal(0.0, 0.3, 2), requires_grad=True)
+        proj = rng.standard_normal((2, 2, 4, 3))
+        buf = np.empty((2, 5, 4, 3))
+
+        def loss():
+            return (batchnorm_act(x, gamma, beta, RunningStats(2), alpha,
+                                  out=buf[:, 1:3]) * proj).sum()
+
+        # the 1e-5 steps of x, gamma and beta never carry a value across the kink
+        h = batchnorm(x, gamma, beta, RunningStats(2), True).data
+        assert np.abs(h).min() > 0.05
+        assert_gradients_match(loss, [x, gamma, beta], names=["x", "gamma", "beta"])
+
+    def test_nan_passes_through(self):
+        x = tens(np.array([np.nan, -1.0, 0.5, 2.0]).reshape(1, 1, 2, 2))
+        for alpha in (0.0, 0.5):
+            y = batchnorm_act(x, tens(np.ones(1)), tens(np.zeros(1)), RunningStats(1), alpha)
+            assert np.isnan(y.data).all()  # the batch statistics are NaN too
+        state = RunningStats(2)
+        x = tens(np.stack([np.full((2, 2), np.nan), [[-1.0, 1.0], [-2.0, 2.0]]])[None])
+        y = batchnorm_act(x, tens(np.ones(2)), tens(np.zeros(2)), state, 0.5)
+        assert np.isnan(y.data[0, 0]).all() and np.isnan(state.mean[0])
+        assert np.isfinite(y.data[0, 1]).all() and (y.data[0, 1] < 0).any()
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="0 <= alpha < 1"):
+            batchnorm_act(tens(np.ones((1, 1, 2, 2))), tens(np.ones(1)), tens(np.zeros(1)),
+                          RunningStats(1), alpha)
+
+
 SPATIAL_OPS = {
     "conv2d": lambda x: conv2d(x, tens(np.ones((3, 2, 3, 3))), tens(np.zeros(3))),
     "transposed_conv2": lambda x: transposed_conv2(x, tens(np.ones((2, 3, 2, 2))),
@@ -826,6 +944,8 @@ SPATIAL_OPS = {
     "maxpool2": maxpool2,
     "batchnorm": lambda x: batchnorm(x, tens(np.ones(2)), tens(np.zeros(2)),
                                      RunningStats(2), False),
+    "batchnorm_act": lambda x: batchnorm_act(x, tens(np.ones(2)), tens(np.zeros(2)),
+                                             RunningStats(2), 0.0),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.io import wavfile
 from scipy.ndimage import median_filter
 
-from hpsep import cli
+from hpsep import cli, data
 from hpsep.audio_io import AudioError, read_wav, write_wav
 from hpsep.config import (
     ConfigError,
@@ -229,6 +229,16 @@ class TestDatasetIO:
         write_track_dir(tmp_path / "track001", np.zeros(500), np.zeros(500))
         with pytest.raises(ValueError, match="^track001: 500 samples, shorter than one 1024"):
             load_dataset(tmp_path)
+
+    def test_short_track_refused_before_the_rest_are_read(self, tmp_path, monkeypatch):
+        write_track_dir(tmp_path / "track000", np.zeros(500), np.zeros(500))
+        write_track_dir(tmp_path / "track001", np.zeros(WIN_LENGTH), np.zeros(WIN_LENGTH))
+        read = []
+        monkeypatch.setattr(data, "read_track",
+                            lambda d, f=data.read_track: read.append(d.name) or f(d))
+        with pytest.raises(ValueError, match="^track000: 500 samples, shorter than one 1024"):
+            load_dataset(tmp_path)
+        assert read == ["track000"]
 
 
 # The config surface: key -> (owning dataclass, type, a valid non-default

@@ -387,11 +387,11 @@ class TestStepMemory:
         # of one channel at a block's resolution: each dense block's buffer
         # (block input plus every layer's output but the last), and per layer
         # at most three growth-rate maps. Those cover BN's normalized input
-        # and the activation mask of every layer, plus per block the last
-        # layer's output, the separate block input its first conv reads (up
-        # to three growth-rate maps, at the fusion block) and the pooling
-        # indices. A per-layer concatenated copy, or a conv or BN output kept
-        # alive, breaks the bound.
+        # of every layer, plus per block the last layer's output, the
+        # separate block input its first conv reads (up to three growth-rate
+        # maps, at the fusion block) and the pooling indices. A per-layer
+        # concatenated copy, or a conv or BN output kept alive, breaks the
+        # bound.
         k, layers, depth, final = 4, 3, 2, 3
         net = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
                             final_block_layers=final)
@@ -423,9 +423,9 @@ class TestStepMemory:
         # block copies its parts (a decoder's upsampled map and skip, the
         # fusion block's three branch outputs) straight into its buffer, and
         # its first layer reads that buffer too. Per block the graph may hold
-        # the buffer, per layer BN's normalized input (k maps) and the
-        # activation mask (k one-byte maps), the block's last output, and
-        # after an encoder block the one-byte pooling indices.
+        # the buffer, per layer BN's normalized input (k maps; no layer keeps
+        # an activation mask), the block's last output, and after an encoder
+        # block the one-byte pooling indices.
         k, layers, depth, final = 4, 3, 2, 3
         net = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
                             final_block_layers=final)
@@ -437,7 +437,7 @@ class TestStepMemory:
             return channels * n * (hw >> scale) ** 2 * x.itemsize
 
         def block(c_in, n_layers, scale):
-            return maps(c_in + (n_layers - 1) * k + 1.125 * k * n_layers + k, scale)
+            return maps(c_in + (n_layers - 1) * k + k * n_layers + k, scale)
 
         branch = (sum(block(1 if s == 0 else k, layers, s) + maps(k, s + 1) / 8
                       for s in range(depth))
