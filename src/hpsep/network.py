@@ -89,9 +89,11 @@ class NetworkConfig:
         if math.gcd(N_BINS, PATCH_FRAMES) % 2 ** min(self.depth, 64):
             raise ValueError(f"depth {self.depth} is too deep for the {N_BINS}x{PATCH_FRAMES} "
                              f"tile: 2 ** depth must divide both sides")
+        if not self.branch_kernels:
+            raise ValueError("branch_kernels must hold at least one kernel")
         for kh, kw in self.branch_kernels:
-            if kh % 2 == 0 or kw % 2 == 0:
-                raise ValueError(f"branch kernels must have odd dims, got {kh}x{kw}")
+            if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
+                raise ValueError(f"branch_kernels must have positive odd dims, got {kh}x{kw}")
 
 
 class ParamStore:
@@ -369,9 +371,9 @@ class MaskSeparator:
 #
 # Binary layout (all integers little-endian):
 #   magic  b"HPSS"
-#   u16    format version (currently 1)
+#   u16    format version (currently 2)
 #   u32 x4 growth_rate, layers_per_block, depth, final_block_layers
-#   f64    LeakyReLU slope, always LEAKY_ALPHA
+#   u16    branch count, then u32 kh, u32 kw per branch kernel
 #   f64 x2 normalization stats (min, max of log1p magnitude)
 #   then one record per parameter and buffer, in registry order:
 #     u16  name length, then that many UTF-8 bytes
@@ -379,10 +381,13 @@ class MaskSeparator:
 #     u8   rank
 #     u32  per dimension
 #     raw  little-endian payload
-# Branch kernel shapes are read back off each branch's first conv weight.
+# The header is the whole NetworkConfig; the records are values the model
+# built from it must match. What the weights compute (the activations and
+# their slope, the heads) is fixed by the version: a change to it bumps
+# _VERSION, and a loader refuses every version but its own.
 
 _MAGIC = b"HPSS"
-_VERSION = 1
+_VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -419,16 +424,11 @@ def _write_checkpoint(path, cfg, stats, entries):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
-        fh.write(
-            struct.pack(
-                "<IIII",
-                cfg.growth_rate,
-                cfg.layers_per_block,
-                cfg.depth,
-                cfg.final_block_layers,
-            )
-        )
-        fh.write(struct.pack("<ddd", LEAKY_ALPHA, stats.min_val, stats.max_val))
+        kernels = cfg.branch_kernels
+        fh.write(struct.pack(f"<IIIIH{2 * len(kernels)}I", cfg.growth_rate,
+                             cfg.layers_per_block, cfg.depth, cfg.final_block_layers,
+                             len(kernels), *(d for kernel in kernels for d in kernel)))
+        fh.write(struct.pack("<dd", stats.min_val, stats.max_val))
         for name, arr in entries:
             tag = _DTYPE_TAGS.get(arr.dtype)
             if tag is None:
@@ -451,14 +451,16 @@ def _read_exact(fh, n, what):
 def load_checkpoint(path, dtype=np.float64):
     """Rebuild a MaskSeparator and its normalization stats from disk.
 
-    Rejects unknown magics and versions, a stored LeakyReLU slope other
-    than ``LEAKY_ALPHA``, non-finite stats and records that hold NaN or
-    Inf. Each record is cast to ``dtype``, and one whose finite values
-    overflow it (a float64 1e39 read as float32) is refused by name, not
-    loaded as Inf. Records are matched as the model is built (see
-    ``ParamStore``), and none may be left over, so a corrupt or hostile
-    file fails with ValueError having allocated about its own size, never
-    a model larger than the file.
+    The header's sizes and branch kernels make the ``NetworkConfig``, which
+    checks them, before any record is read. Rejects unknown magics and
+    versions, non-finite stats and records that hold NaN or Inf. Each
+    record is cast to ``dtype``, and one whose finite values overflow it (a
+    float64 1e39 read as float32) is refused by name, not loaded as Inf.
+    The model built from the header takes each parameter and buffer from
+    the record of its name, refusing a missing or reshaped one before it
+    allocates anything for it (see ``ParamStore``), and none may be left
+    over. So a corrupt or hostile file fails with ValueError having
+    allocated about its own size, never a model larger than the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -467,11 +469,13 @@ def load_checkpoint(path, dtype=np.float64):
         (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        k, layers, depth, final_layers = struct.unpack("<IIII", _read_exact(fh, 16, "config"))
-        alpha, stat_min, stat_max = struct.unpack("<ddd", _read_exact(fh, 24, "stats"))
-        if alpha != LEAKY_ALPHA:
-            raise ValueError(f"checkpoint stores LeakyReLU slope {alpha!r}; "
-                             f"the separator's is {LEAKY_ALPHA}")
+        k, layers, depth, final_layers, n = struct.unpack(
+            "<IIIIH", _read_exact(fh, 18, "config"))
+        flat = struct.unpack(f"<{2 * n}I", _read_exact(fh, 8 * n, "branch kernels"))
+        cfg = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
+                            final_block_layers=final_layers,
+                            branch_kernels=tuple(zip(flat[::2], flat[1::2])))
+        stat_min, stat_max = struct.unpack("<dd", _read_exact(fh, 16, "stats"))
         if not (math.isfinite(stat_min) and math.isfinite(stat_max)):
             raise ValueError(f"non-finite normalization stats: min={stat_min}, max={stat_max}")
         arrays = {}
@@ -503,26 +507,6 @@ def load_checkpoint(path, dtype=np.float64):
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"record {name!r} overflows {np.dtype(dtype).name}")
 
-    kernels = []
-    while (w := arrays.get(f"branch{len(kernels)}.enc0.layer0.conv.weight")) is not None:
-        if w.ndim != 4:
-            raise ValueError(f"branch{len(kernels)} conv weight has rank {w.ndim}, expected 4")
-        kernels.append(w.shape[2:])
-    if not kernels:
-        raise ValueError("checkpoint holds no branch")
-    cfg = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
-                        final_block_layers=final_layers, branch_kernels=tuple(kernels))
-    # Building the model matches every record, so these checks only name
-    # the header field that the records do not bear out.
-    stored_k = arrays["branch0.enc0.layer0.conv.weight"].shape[0]
-    if stored_k != k:
-        raise ValueError(f"header growth_rate {k} does not match the stored "
-                         f"weights ({stored_k} channels)")
-    for key, name in (("depth", f"branch0.enc{depth - 1}.layer0.conv.weight"),
-                      ("layers_per_block", f"branch0.enc0.layer{layers - 1}.conv.weight"),
-                      ("final_block_layers", f"fuse.layer{final_layers - 1}.conv.weight")):
-        if name not in arrays:
-            raise ValueError(f"header {key} {getattr(cfg, key)} has no stored {name!r}")
     model = MaskSeparator(cfg, dtype=dtype, records=arrays)
     if model.store.records:
         raise ValueError(f"checkpoint mismatch: extra={sorted(model.store.records)[:3]}")

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import conftest
 from hpsep import tensor as T
 from hpsep.dsp import GlobalStats
 from hpsep.network import (
@@ -538,6 +539,17 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="odd"):
             NetworkConfig(branch_kernels=((2, 3),))
 
+    def test_rejects_an_empty_kernel_set(self):
+        # MaskSeparator would otherwise fail on it with ZeroDivisionError
+        with pytest.raises(ValueError, match="branch_kernels must hold at least one kernel"):
+            NetworkConfig(branch_kernels=())
+
+    @pytest.mark.parametrize("kernel", [(3, -1), (-3, 3)])
+    def test_rejects_negative_kernel_dims(self, kernel):
+        # -1 % 2 == 1, so oddness alone would pass them
+        with pytest.raises(ValueError, match="branch_kernels must have positive odd dims"):
+            NetworkConfig(branch_kernels=(kernel,))
+
     @pytest.mark.parametrize("depth", [8, 9, 2**32 - 1])
     def test_rejects_depth_too_deep_for_the_tile(self, depth):
         # 2 ** 7 = 128 divides the 512x128 tile; 2 ** 8 does not
@@ -563,27 +575,48 @@ def _with_first_value(blob, name, value):
     return blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
 
 
-_HEADER_BYTES = 46  # magic, u16 version, four u32 sizes, three f64
+HEADER = conftest.checkpoint_header(len(BRANCH_KERNELS))  # of a three-branch model
 _FIRST = "branch0.enc0.layer0.conv.weight"  # the first record of a default model
 
 
 def _first_record_reshaped(blob, shape):
     old = len(_record(_FIRST, np.zeros((10, 1, 3, 3))))
-    assert blob[_HEADER_BYTES + 2 : _HEADER_BYTES + 2 + len(_FIRST)] == _FIRST.encode()
-    return blob[:_HEADER_BYTES] + _record(_FIRST, np.zeros(shape)) + blob[_HEADER_BYTES + old :]
+    at = HEADER["end"]
+    assert blob[at + 2 : at + 2 + len(_FIRST)] == _FIRST.encode()
+    return blob[:at] + _record(_FIRST, np.zeros(shape)) + blob[at + old :]
 
+
+def _with_kernels(blob, kernels):
+    """A default-config ``blob`` whose header names ``kernels`` as its branch kernels."""
+    dims = [d for kernel in kernels for d in kernel]
+    return (blob[: HEADER["branch_count"]]
+            + struct.pack(f"<H{len(dims)}I", len(kernels), *dims)
+            + blob[HEADER["stat_min"] :])
+
+
+_HUGE = 2**32 - 1  # the largest u32 a header field can hold
 
 # Each turns a default-config checkpoint into a file whose header or
 # records ask for far more memory than the file holds.
 HOSTILE = {
-    "depth-400": lambda blob: _with_u32(blob, 14, 400)
+    # refused by NetworkConfig before the record is read
+    "depth-400": lambda blob: _with_u32(blob, HEADER["depth"], 400)
     + _record("branch0.enc399.layer0.conv.weight", np.zeros((10, 1, 3, 3))),
-    "layers-40": lambda blob: _with_u32(blob, 10, 40)
+    "layers-40": lambda blob: _with_u32(blob, HEADER["layers_per_block"], 40)
     + _record("branch0.enc0.layer39.conv.weight", np.zeros((10, 1, 3, 3))),
     "kernel-1x2001": lambda blob: _first_record_reshaped(blob, (10, 1, 1, 2001)),
     # a record claiming 16 GiB of payload with none behind it
     "dims-beyond-file": lambda blob: blob + _record("zz", np.zeros((1, 1)))[:-16]
     + struct.pack("<II", 65536, 32768),
+    # header fields alone, with the default model's records behind them
+    "header-growth-huge": lambda blob: _with_u32(blob, HEADER["growth_rate"], _HUGE),
+    "header-layers-huge": lambda blob: _with_u32(blob, HEADER["layers_per_block"], _HUGE),
+    "header-final-layers-huge":
+        lambda blob: _with_u32(blob, HEADER["final_block_layers"], _HUGE),
+    "header-branches-65535": lambda blob: _with_kernels(blob, [(3, 3)] * 65535),
+    "header-branches-0": lambda blob: _with_kernels(blob, []),
+    "header-kernel-huge": lambda blob: _with_kernels(blob, [(_HUGE, _HUGE), *BRANCH_KERNELS[1:]]),
+    "header-kernel-1x2001": lambda blob: _with_kernels(blob, [(1, 2001), *BRANCH_KERNELS[1:]]),
 }
 
 
@@ -627,17 +660,28 @@ class TestCheckpoint:
         np.testing.assert_array_equal(mp0.data, mp1.data)
         np.testing.assert_array_equal(mh0.data, mh1.data)
 
-    def test_roundtrip_non_default_branch_kernels(self, tmp_path):
-        model = MaskSeparator(tiny_cfg(branch_kernels=((3, 3), (5, 1))), seed=23)
+    def assert_roundtrip(self, tmp_path, cfg, seed):
+        """Saving and loading a model of ``cfg`` rebuilds ``cfg`` and its masks."""
+        model = MaskSeparator(cfg, seed=seed)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        save_checkpoint(path, cfg, GlobalStats(0.0, 1.0), model.store)
         loaded, _ = load_checkpoint(path)
-        assert loaded.cfg == model.cfg
-        x = np.abs(np.random.default_rng(23).normal(size=(1, 1, 16, 16)))
-        mp0, mh0 = model.forward(x)
-        mp1, mh1 = loaded.forward(x)
-        np.testing.assert_array_equal(mp0.data, mp1.data)
-        np.testing.assert_array_equal(mh0.data, mh1.data)
+        assert loaded.cfg == cfg
+        x = np.abs(np.random.default_rng(seed).normal(size=(1, 1, 16, 16)))
+        for want, got in zip(model.forward(x), loaded.forward(x)):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_roundtrip_non_default_branch_kernels(self, tmp_path):
+        self.assert_roundtrip(tmp_path, tiny_cfg(branch_kernels=((3, 3), (5, 1))), seed=23)
+
+    # the header alone makes the config: no kernel is read off a record
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(),
+        tiny_cfg(branch_kernels=((3, 3),)),
+        tiny_cfg(branch_kernels=((5, 1), (1, 7))),
+    ], ids=["default", "one-branch", "5x1-1x7"])
+    def test_roundtrip_rebuilds_the_config_from_the_header(self, tmp_path, cfg):
+        self.assert_roundtrip(tmp_path, cfg, seed=28)
 
     def test_rejects_malformed_branch_weight(self, tmp_path):
         model = MaskSeparator(tiny_cfg(), seed=24)
@@ -645,7 +689,8 @@ class TestCheckpoint:
         weight.data = weight.data.reshape(weight.shape[0], -1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
-        with pytest.raises(ValueError, match="branch1 conv weight has rank 2"):
+        with pytest.raises(ValueError,
+                           match="shape mismatch for 'branch1.enc0.layer0.conv.weight'"):
             load_checkpoint(path)
 
     def test_rejects_checkpoint_without_branches(self, tmp_path):
@@ -654,7 +699,7 @@ class TestCheckpoint:
             del model.store.params[name]
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
-        with pytest.raises(ValueError, match="no branch"):
+        with pytest.raises(ValueError, match="no record 'branch0.enc0.layer0.conv.weight'"):
             load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
@@ -671,20 +716,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
-    # header integers sit after the 4-byte magic and the u16 version
+    def test_rejects_a_version_1_file(self, tmp_path):
+        _, _, path = self.roundtrip_model(tmp_path)
+        blob = path.read_bytes()
+        # version 1: the four sizes, then f64 LeakyReLU slope, min and max
+        v1 = (blob[:4] + struct.pack("<H", 1) + blob[HEADER["growth_rate"] : HEADER["branch_count"]]
+              + struct.pack("<ddd", 0.01, 0.125, 7.75) + blob[HEADER["end"] :])
+        path.write_bytes(v1)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    # the model built from the header fails on the first record it does not find
+    REFUSED_BY = {
+        "growth_rate": "shape mismatch for 'branch0.enc0.layer0.conv.weight'",
+        "layers_per_block": "no record 'branch0.enc0.layer2.conv.weight'",
+        "depth": "no record 'branch0.enc2.layer0.conv.weight'",
+        "final_block_layers": "no record 'fuse.layer2.conv.weight'",
+    }
+
     @pytest.mark.parametrize("offset, key, value", [
-        (6, "growth_rate", 200_000),  # would size a multi-TiB weight
-        (10, "layers_per_block", 3),
-        (14, "depth", 3),
-        (18, "final_block_layers", 3),
+        (HEADER["growth_rate"], "growth_rate", 200_000),  # would size a multi-TiB weight
+        (HEADER["layers_per_block"], "layers_per_block", 3),
+        (HEADER["depth"], "depth", 3),
+        (HEADER["final_block_layers"], "final_block_layers", 3),
     ])
     def test_rejects_header_the_records_do_not_bear_out(self, tmp_path, offset, key,
                                                          value):
         _, _, path = self.roundtrip_model(tmp_path)
-        blob = bytearray(path.read_bytes())
-        blob[offset : offset + 4] = value.to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=f"header {key} {value}"):
+        path.write_bytes(_with_u32(path.read_bytes(), offset, value))
+        with pytest.raises(ValueError, match=self.REFUSED_BY[key]):
             load_checkpoint(path)
 
     def test_rejects_record_the_model_does_not_make(self, tmp_path):
@@ -694,17 +754,9 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"extra=\['zz.extra'\]"):
             load_checkpoint(path)
 
-    def test_rejects_a_stored_slope_other_than_the_separators(self, tmp_path):
-        _, _, path = self.roundtrip_model(tmp_path)
-        blob = bytearray(path.read_bytes())
-        assert struct.unpack("<d", blob[22:30]) == (LEAKY_ALPHA,)  # after the four sizes
-        blob[22:30] = struct.pack("<d", 0.2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="LeakyReLU slope 0.2; the separator's is 0.01"):
-            load_checkpoint(path)
-
-    # the f64 stats min and max follow the magic, version, sizes and alpha
-    @pytest.mark.parametrize("offset, value", [(30, -np.inf), (38, np.inf), (38, np.nan)])
+    @pytest.mark.parametrize("offset, value", [(HEADER["stat_min"], -np.inf),
+                                               (HEADER["stat_max"], np.inf),
+                                               (HEADER["stat_max"], np.nan)])
     def test_rejects_non_finite_stats(self, tmp_path, offset, value):
         _, _, path = self.roundtrip_model(tmp_path)
         blob = bytearray(path.read_bytes())

@@ -11,6 +11,7 @@ import pytest
 from scipy.io import wavfile
 from scipy.ndimage import median_filter
 
+import conftest
 from hpsep import cli, data
 from hpsep.audio_io import AudioError, read_wav, write_wav
 from hpsep.config import (
@@ -30,7 +31,13 @@ from hpsep.data import (
     write_dataset,
 )
 from hpsep.dsp import HOP, N_BINS, PATCH_FRAMES, WIN_LENGTH, normalize_values, stft
-from hpsep.network import MaskSeparator, NetworkConfig, load_checkpoint, save_checkpoint
+from hpsep.network import (
+    BRANCH_KERNELS,
+    MaskSeparator,
+    NetworkConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hpsep.training import TrainConfig
 from hpsep.dsp import GlobalStats
 from hpsep.metrics import read_report
@@ -505,7 +512,8 @@ class TestCli:
     def test_separate_rejects_hostile_checkpoint_header(self, tmp_path, capsys):
         _, _, ckpt = small_checkpoint(tmp_path)
         blob = bytearray(ckpt.read_bytes())
-        blob[6:10] = (200_000).to_bytes(4, "little")  # header growth_rate
+        at = conftest.checkpoint_header(len(BRANCH_KERNELS))["growth_rate"]
+        blob[at : at + 4] = (200_000).to_bytes(4, "little")
         ckpt.write_bytes(bytes(blob))
         mix = tmp_path / "mix.wav"
         write_wav(mix, np.zeros(4410))
@@ -513,7 +521,8 @@ class TestCli:
         rc = cli.main(["separate", "--ckpt", str(ckpt), "--in", str(mix),
                        "--out-perc", str(out_p), "--out-harm", str(out_h)])
         assert rc == 1
-        assert "hpsep: error: header growth_rate 200000" in capsys.readouterr().err
+        assert ("hpsep: error: shape mismatch for 'branch0.enc0.layer0.conv.weight'"
+                in capsys.readouterr().err)
         assert not out_p.exists() and not out_h.exists()
 
     def separate_with(self, tmp_path, ckpt):
@@ -528,7 +537,8 @@ class TestCli:
     def test_separate_rejects_non_finite_checkpoint_stats(self, tmp_path, capsys):
         _, _, ckpt = small_checkpoint(tmp_path)
         blob = bytearray(ckpt.read_bytes())
-        blob[30:38] = struct.pack("<d", -np.inf)  # header stats min
+        at = conftest.checkpoint_header(len(BRANCH_KERNELS))["stat_min"]
+        blob[at : at + 8] = struct.pack("<d", -np.inf)
         ckpt.write_bytes(bytes(blob))
         assert self.separate_with(tmp_path, ckpt) == 1
         assert "hpsep: error: non-finite normalization stats: min=-inf" in capsys.readouterr().err
