@@ -21,7 +21,10 @@ parts are copied once into its first n channels, every layer but the
 last writes its activation into the next k, and every layer reads a
 zero-copy view of the buffer's leading channels. A block thus keeps
 O(L) maps alive for backward instead of the O(L^2) of one concatenated
-copy per layer.
+copy per layer. In training it keeps one copy of each of those layers'
+output, not two: the buffer holds their normalized maps until backward
+reaches the block, which rebuilds the activations from them
+(recomputation, as in the same paper; see ``DenseBlock``).
 
 Branches downsample with 2x2 max pooling ``depth`` times, pass a
 bottleneck block, and upsample back with 2x2 stride-2 transposed
@@ -203,11 +206,15 @@ class CompositeLayer:
         store.add_buffer(f"{name}.bn.running_var", self.state.var)
         self.alpha = 0.0 if activation == "relu" else LEAKY_ALPHA  # 0 is ReLU
 
-    def forward(self, x, training, out=None):
-        """The layer's activation, written into the array ``out`` if given."""
+    def forward(self, x, training, out=None, keep=None):
+        """The layer's activation, written into the array ``out`` if given.
+
+        In training, the normalized map goes into the array ``keep`` if given
+        (see ``T.batchnorm_act``).
+        """
         if training:
             return T.batchnorm_act(T.conv2d(x, self.weight, self.bias), self.gamma,
-                                   self.beta, self.state, self.alpha, out=out)
+                                   self.beta, self.state, self.alpha, out=out, keep=keep)
         h = self._folded(x)
         if self.alpha:
             return T.leaky_relu(h, self.alpha, out=out)
@@ -221,6 +228,28 @@ class CompositeLayer:
         return T.conv2d(x, Tensor(weight), Tensor(bias))
 
 
+class _Scratch:
+    """One flat array that the dense blocks of a model take turns to use.
+
+    A training forward runs one block at a time, and so does a backward
+    sweep (see ``DenseBlock``), so every block of a model, and every graph
+    the model has recorded, shares it. ``maps`` reallocates it only when a
+    request does not fit, and so it stays sized for the largest block seen.
+    """
+
+    __slots__ = ("flat",)
+
+    def __init__(self):
+        self.flat = np.empty(0)
+
+    def maps(self, shape, dtype):
+        """A ``shape`` view of the array's leading values, as ``dtype``."""
+        size = math.prod(shape)
+        if self.flat.size < size or self.flat.dtype != dtype:
+            self.flat = np.empty(size, dtype)
+        return self.flat[:size].reshape(shape)
+
+
 class DenseBlock:
     """L composite layers with dense (all-to-all forward) connectivity.
 
@@ -229,10 +258,24 @@ class DenseBlock:
     output; the block output is the last layer's ``growth_rate``
     channels. The concatenations share one feature buffer per forward
     pass (see the module docstring).
+
+    In training, every layer's batchnorm keeps its normalized map ``xhat``
+    for backward, and each buffer slot would keep the activation ``y``
+    beside it. The block keeps one copy instead. Its first L - 1 layers
+    write ``xhat`` into ``scratch`` (a ``_Scratch``, shared with the other
+    blocks of the model). Once the last layer has run, no forward op reads
+    the slots again, and the block copies the maps into them, over the
+    activations. The block output is recorded through ``T.recompute``, so
+    before any of the block's VJPs, backward copies the maps back into the
+    scratch and rebuilds each ``y`` in its slot with the forward's own
+    arithmetic (``T.affine_act``). The convs then read the activations
+    from the buffer and the batchnorms ``xhat`` from the scratch, as in
+    the forward pass. The last layer's ``xhat`` stays with its node, since
+    its activation leaves the buffer as the block output.
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
-                 dtype, activation="relu"):
+                 dtype, activation="relu", scratch=None):
         self.in_channels = in_channels
         self.out_channels = growth_rate
         self.layers = [
@@ -241,6 +284,7 @@ class DenseBlock:
             for i in range(layers)
         ]
         self.connection_count = layers * (layers + 1) // 2
+        self.scratch = _Scratch() if scratch is None else scratch
 
     def forward(self, parts, training):
         c, k = self.in_channels, self.out_channels
@@ -253,11 +297,27 @@ class DenseBlock:
         res = np.empty(lead + (k,) + spatial, dtype=x.dtype)
         buf = np.empty(lead + (c + last * k,) + spatial, dtype=x.dtype)
         np.concatenate([p.data for p in parts], axis=-3, out=buf[..., :c, :, :])
+        slots = buf[..., c:, :, :]
+        xhats = self.scratch.maps(slots.shape, x.dtype) if training and last else None
         feats = list(parts)
-        for i, layer in enumerate(self.layers):
-            dest = buf[..., c + i * k : c + (i + 1) * k, :, :] if i < last else res
-            feats.append(layer.forward(T.concat_prefix(feats, buf), training, out=dest))
-        return feats[-1]
+        for i, layer in enumerate(self.layers[:last]):
+            ch = np.s_[..., i * k : (i + 1) * k, :, :]
+            feats.append(layer.forward(T.concat_prefix(feats, buf), training, out=slots[ch],
+                                       keep=None if xhats is None else xhats[ch]))
+        out = self.layers[last].forward(T.concat_prefix(feats, buf), training, out=res)
+        if xhats is None:
+            return out
+        np.copyto(slots, xhats)
+        # the parameters as the forward read them, as the batchnorm nodes keep them
+        acts = [(layer.gamma.data, layer.beta.data, layer.alpha) for layer in self.layers[:last]]
+
+        def rebuild():
+            np.copyto(xhats, slots)
+            for i, (gamma, beta, alpha) in enumerate(acts):
+                ch = np.s_[..., i * k : (i + 1) * k, :, :]
+                T.affine_act(xhats[ch], gamma, beta, alpha, out=slots[ch])
+
+        return T.recompute(out, rebuild)
 
 
 class MultiScaleBranch:
@@ -270,25 +330,25 @@ class MultiScaleBranch:
     at the input resolution.
     """
 
-    def __init__(self, store, name, in_channels, cfg, kernel, rng, dtype):
+    def __init__(self, store, name, in_channels, cfg, kernel, rng, dtype, scratch=None):
         k = cfg.growth_rate
         L = cfg.layers_per_block
+        scratch = _Scratch() if scratch is None else scratch
         self.enc = []
         c = in_channels
         for s in range(cfg.depth):
-            self.enc.append(
-                DenseBlock(store, f"{name}.enc{s}", c, k, L, kernel, rng, dtype)
-            )
+            self.enc.append(DenseBlock(store, f"{name}.enc{s}", c, k, L, kernel, rng, dtype,
+                                       scratch=scratch))
             c = k
-        self.mid = DenseBlock(store, f"{name}.mid", c, k, L, kernel, rng, dtype)
+        self.mid = DenseBlock(store, f"{name}.mid", c, k, L, kernel, rng, dtype,
+                              scratch=scratch)
         self.up = []
         self.dec = []
         for s in reversed(range(cfg.depth)):
             self.up.append(_conv_params(store, f"{name}.up{s}", k, k, (2, 2), rng, dtype,
                                         transposed=True))
-            self.dec.append(
-                DenseBlock(store, f"{name}.dec{s}", 2 * k, k, L, kernel, rng, dtype)
-            )
+            self.dec.append(DenseBlock(store, f"{name}.dec{s}", 2 * k, k, L, kernel, rng,
+                                       dtype, scratch=scratch))
 
     def forward(self, x, training):
         skips = []
@@ -320,13 +380,16 @@ class MaskSeparator:
         self.store = ParamStore(records)
         rng = np.random.Generator(np.random.PCG64(seed))
         k = self.cfg.growth_rate
+        self.scratch = _Scratch()
         self.branches = [
-            MultiScaleBranch(self.store, f"branch{i}", 1, self.cfg, kernel, rng, dtype)
+            MultiScaleBranch(self.store, f"branch{i}", 1, self.cfg, kernel, rng, dtype,
+                             scratch=self.scratch)
             for i, kernel in enumerate(self.cfg.branch_kernels)
         ]
         fused_in = k * len(self.branches)
         self.fuse = DenseBlock(self.store, "fuse", fused_in, k, self.cfg.final_block_layers,
-                               (3, 3), rng, dtype, activation="leaky_relu")
+                               (3, 3), rng, dtype, activation="leaky_relu",
+                               scratch=self.scratch)
         self.head_perc = _conv_params(self.store, "head_perc", k, 1, (1, 1), rng, dtype)
         self.head_harm = _conv_params(self.store, "head_harm", k, 1, (1, 1), rng, dtype)
 
@@ -359,6 +422,12 @@ class MaskSeparator:
                 f"spatial dims must be divisible by {scale} for depth "
                 f"{self.cfg.depth}, got {h}x{w}"
             )
+        if training:
+            # the widest blocks run at full resolution; sized for them up
+            # front, the scratch is not regrown while earlier blocks hold it
+            layers = max(self.cfg.layers_per_block, self.cfg.final_block_layers)
+            self.scratch.maps((data.shape[0], (layers - 1) * self.cfg.growth_rate, h, w),
+                              self.dtype)
         with contextlib.nullcontext() if training else T.no_grad():
             outs = [branch.forward(x, training) for branch in self.branches]
             fused = self.fuse.forward(outs, training)
@@ -459,8 +528,14 @@ def load_checkpoint(path, dtype=np.float64):
     The model built from the header takes each parameter and buffer from
     the record of its name, refusing a missing or reshaped one before it
     allocates anything for it (see ``ParamStore``), and none may be left
-    over. So a corrupt or hostile file fails with ValueError having
-    allocated about its own size, never a model larger than the file.
+    over. So a corrupt or hostile file fails with ValueError, never having
+    built a model larger than the file. The header's kernels become tuples
+    and every record its own array before the model is built, so what a
+    load allocates is a constant factor of the file's size: about 3 for
+    large records, and under 25 for the costliest files. Those hold
+    one-value records, whose 11 bytes on disk each become an array, a name
+    and a dict entry of some 240 bytes, or a header that names 65535
+    kernels.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

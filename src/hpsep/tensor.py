@@ -55,7 +55,12 @@ fresh ``np.concatenate`` of the parts.
 into ``out`` and keeps only the normalized map and the per-channel
 inverse deviations; its VJP rebuilds the activation mask from them. It
 shares training-mode batchnorm's statistics and gradient code with
-``batchnorm``, and its results are bit-identical to the two ops'.
+``batchnorm``, and its results are bit-identical to the two ops'. Given
+``keep``, it writes the normalized map there, into an array the caller
+owns. A dense block lets that array and the activation share memory
+until backward: ``recompute`` records an identity op whose VJP puts
+each normalized map back, and ``affine_act`` rebuilds the activation
+from it bit for bit, before any VJP of the block reads either.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ __all__ = [
     "maxpool2",
     "batchnorm",
     "batchnorm_act",
+    "affine_act",
+    "recompute",
     "relu",
     "leaky_relu",
     "sigmoid",
@@ -595,15 +602,15 @@ def _bn_inputs(x, gamma, beta, state):
     return xb
 
 
-def _normalized(xb, mu, var, eps):
-    """(xhat, ivar): xb standardized per channel by mu and var."""
+def _normalized(xb, mu, var, eps, out=None):
+    """(xhat, ivar): xb standardized per channel by mu and var, xhat in ``out`` if given."""
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = xb - mu[None, :, None, None]
+    xhat = np.subtract(xb, mu[None, :, None, None], out=out)
     xhat *= ivar[None, :, None, None]
     return xhat, ivar
 
 
-def _batch_normalized(xb, state):
+def _batch_normalized(xb, state, out=None):
     """``_normalized`` by the batch statistics over (N, H, W).
 
     Folds those statistics into ``state``'s running mean and variance in
@@ -616,7 +623,7 @@ def _batch_normalized(xb, state):
     state.mean += (1.0 - m) * mu
     state.var *= m
     state.var += (1.0 - m) * var
-    return _normalized(xb, mu, var, state.eps)
+    return _normalized(xb, mu, var, state.eps, out)
 
 
 def _bn_grads(g, xhat, ivar, gdata, needs, training, out=None):
@@ -674,7 +681,27 @@ def batchnorm(x, gamma, beta, state, training):
     return _record(out, (x, gamma, beta), fn, "batchnorm")
 
 
-def batchnorm_act(x, gamma, beta, state, alpha, out=None):
+def _affine(xhat, gdata, bdata, out=None):
+    """``gamma * xhat + beta`` per channel, in ``out`` if given."""
+    h = np.multiply(gdata[None, :, None, None], xhat, out=out)
+    h += bdata[None, :, None, None]
+    return h
+
+
+def affine_act(xhat, gamma, beta, alpha, out=None):
+    """The activation ``batchnorm_act`` computes from its normalized map, bit for bit.
+
+    ``leaky_relu(gamma * xhat + beta, alpha)`` on arrays, per channel,
+    written into ``out`` if given; nothing is recorded. A caller that let
+    an activation go after the forward pass rebuilds it from ``xhat`` here.
+    """
+    h = _affine(xhat, gamma, beta, out)
+    # relu's own constant 0.0, not alpha * h: 0 * h would turn +Inf into NaN
+    # and a negative h into -0.0
+    return np.maximum(h, alpha * h if alpha else 0.0, out=h)
+
+
+def batchnorm_act(x, gamma, beta, state, alpha, out=None, keep=None):
     """``leaky_relu(batchnorm(x, gamma, beta, state, True), alpha, out)`` as one op.
 
     alpha 0 is ``relu``. The values, running statistics and gradients are
@@ -685,27 +712,22 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None):
     them with the forward's own arithmetic, instead of the activation
     keeping a mask of its own (fused batchnorm and activation; Rota Bulò
     et al. 2018, arXiv:1712.02616).
+
+    ``xhat`` is written into ``keep`` when it is given, and the VJP reads
+    it there. The caller may reuse that array in between, provided it puts
+    ``xhat`` back before the VJP runs (see ``recompute``).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"batchnorm_act needs 0 <= alpha < 1, got {alpha}")
     xb = _bn_inputs(x, gamma, beta, state)
-    xhat, ivar = _batch_normalized(xb, state)
+    xhat, ivar = _batch_normalized(xb, state, keep)
     gdata, bdata = gamma.data, beta.data
-
-    def affine(dest):
-        h = np.multiply(gdata[None, :, None, None], xhat, out=dest)
-        h += bdata[None, :, None, None]
-        return h
-
-    h = affine(out)
-    # relu's own constant 0.0, not alpha * h: 0 * h would turn +Inf into NaN
-    # and a negative h into -0.0
-    np.maximum(h, alpha * h if alpha else 0.0, out=h)
+    h = affine_act(xhat, gdata, bdata, alpha, out)
     needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def fn(g):
         # the activation's gradient, written over the rebuilt map
-        gh = affine(None)
+        gh = _affine(xhat, gdata, bdata)
         if alpha:
             mask = gh > 0
             np.multiply(g, alpha, out=gh)
@@ -718,6 +740,23 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None):
         return _bn_grads(gh, xhat, ivar, gdata, needs, True, out=gh)
 
     return _record(h, (x, gamma, beta), fn, "batchnorm_act")
+
+
+def recompute(x, fn):
+    """``x``, recorded as an identity op whose VJP first calls ``fn()``.
+
+    A sweep runs that VJP before the VJP of any op recorded before ``x``.
+    So a caller may overwrite arrays that those ops read after recording
+    them, if ``fn`` rebuilds the arrays in place (gradient checkpointing;
+    Chen et al. 2016, arXiv:1604.06174). A dense block uses it to keep one
+    copy of each layer's output (see ``hpsep.network.DenseBlock``).
+    """
+
+    def vjp(g):
+        fn()
+        return (g,)
+
+    return _record(x.data, (x,), vjp, "recompute")
 
 
 # -- elementwise nonlinearities -------------------------------------------

@@ -1,6 +1,8 @@
 """Architecture bookkeeping, gradient flow, and checkpoint format tests."""
 
 import hashlib
+import itertools
+import string
 import struct
 import tracemalloc
 from collections import Counter
@@ -177,8 +179,9 @@ class TestFoldedInference:
 
     def test_default_training_step_records_two_nodes_per_layer(self, monkeypatch):
         # each of the 139 layers records conv2d and batchnorm_act, plus the
-        # concatenation it reads unless that holds only the untracked input;
-        # with the loss a step's tape has 454 nodes
+        # concatenation it reads unless that holds only the untracked input,
+        # and each of the 28 blocks one recompute for its output; with the
+        # loss a step's tape has 482 nodes
         model = MaskSeparator(NetworkConfig(), seed=37)
         x = np.random.default_rng(37).random((1, 1, 16, 16))
         recorded = []
@@ -189,7 +192,8 @@ class TestFoldedInference:
         tags = Counter(recorded)
         assert tags["batchnorm_act"] == 139 and tags["concat_channels"] == 139 - 3
         assert tags["conv2d"] == 139 + 2  # and the two heads
-        assert len(recorded) == 454
+        assert tags["recompute"] == 28
+        assert len(recorded) == 482
 
     def test_training_mode_does_not_fold(self):
         model = MaskSeparator(tiny_cfg(), seed=35)
@@ -299,8 +303,8 @@ class TestDenseBlockBuffer:
         seen = []
         for layer in block.layers:
             forward = layer.forward
-            layer.forward = lambda inp, training, out=None, f=forward: (
-                seen.append(inp.data) or f(inp, training, out=out))
+            layer.forward = lambda inp, training, f=forward, **kw: (
+                seen.append(inp.data) or f(inp, training, **kw))
         block.forward([x], True)
         # every layer, the first included, reads a view of one buffer that
         # holds a copy of x first
@@ -528,6 +532,55 @@ class TestMaskSeparator:
             assert p.grad is not None, f"no gradient reached {name}"
 
 
+class TestSharedScratch:
+    """Every graph a model records shares its normalized-map scratch.
+
+    The second forward overwrites the scratch before the first graph is
+    swept; each block's backward must restore its own maps first. Both
+    ways of sweeping two live graphs must give the gradients and running
+    statistics of two separate forward and backward steps, bit for bit.
+    """
+
+    @staticmethod
+    def loss(model, x):
+        mp, mh = model.forward(Tensor(x), training=True)
+        return masking_loss(mp, mh, x, 0.3 * x, 0.7 * x)
+
+    def state_after(self, sweep):
+        model = MaskSeparator(tiny_cfg(growth_rate=3, layers_per_block=3,
+                                       final_block_layers=3), seed=41)
+        gen = np.random.default_rng(41)
+        xs = [np.abs(gen.normal(size=(2, 1, 16, 16))) for _ in range(2)]
+        sweep(lambda x: self.loss(model, x), xs)
+        grads = {n: p.grad for n, p in model.store.params.items()}
+        return grads, model.store.buffers
+
+    @staticmethod
+    def separate_steps(loss, xs):
+        for x in xs:
+            loss(x).backward()
+
+    @staticmethod
+    def swept_in_turn(loss, xs):
+        for graph in [loss(x) for x in xs]:
+            graph.backward()
+
+    @staticmethod
+    def swept_as_one(loss, xs):
+        first, second = (loss(x) for x in xs)
+        (first + second).backward()
+
+    @pytest.mark.parametrize("sweep", ["swept_in_turn", "swept_as_one"])
+    def test_two_live_graphs_match_separate_steps(self, sweep):
+        want_grads, want_stats = self.state_after(self.separate_steps)
+        got_grads, got_stats = self.state_after(getattr(self, sweep))
+        assert got_grads.keys() == want_grads.keys()
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=name)
+        for name in want_stats:
+            np.testing.assert_array_equal(got_stats[name], want_stats[name], err_msg=name)
+
+
 class TestNetworkConfig:
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError):
@@ -617,6 +670,22 @@ HOSTILE = {
     "header-branches-0": lambda blob: _with_kernels(blob, []),
     "header-kernel-huge": lambda blob: _with_kernels(blob, [(_HUGE, _HUGE), *BRANCH_KERNELS[1:]]),
     "header-kernel-1x2001": lambda blob: _with_kernels(blob, [(1, 2001), *BRANCH_KERNELS[1:]]),
+}
+
+
+def _one_value_records(count):
+    """``count`` float32 records of one value under three-character names, 11 bytes each."""
+    names = itertools.product((string.ascii_letters + string.digits).encode(), repeat=3)
+    return b"".join(struct.pack("<H3sBBf", 3, bytes(name), 0, 0, 0.0)
+                    for name in itertools.islice(names, count))
+
+
+# Each turns a tiny model's checkpoint into a file that is costly per byte
+# to read: the records a file of its size can hold, or the kernel tuples
+# its header can name, take many bytes of Python objects each.
+DENSE_HOSTILE = {
+    "records-50000-one-value": lambda blob: blob + _one_value_records(50_000),
+    "header-branches-65535-huge": lambda blob: _with_kernels(blob, [(_HUGE, _HUGE)] * 65535),
 }
 
 
@@ -818,6 +887,24 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(blob)
+
+    @pytest.mark.parametrize("case", sorted(DENSE_HOSTILE))
+    def test_dense_hostile_file_fails_within_the_documented_factor(self, tmp_path, case):
+        # load_checkpoint's docstring promises under 25 times the file's size
+        model = MaskSeparator(tiny_cfg(growth_rate=1, layers_per_block=1, depth=1,
+                                       final_block_layers=1), seed=0)
+        path = tmp_path / "hostile.ckpt"
+        save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
+        blob = DENSE_HOSTILE[case](path.read_bytes())
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * len(blob), peak / len(blob)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model, stats, path = self.roundtrip_model(tmp_path)

@@ -21,6 +21,7 @@ from hpsep.tensor import (
     maxpool2,
     no_grad,
     numeric_gradient,
+    recompute,
     relu,
     sigmoid,
     transposed_conv2,
@@ -221,7 +222,10 @@ class TestGraphHoldsNodes:
         # Beyond the memory the conv and upsampling nodes read (the block
         # buffers and block outputs), a training forward's graph holds per
         # layer one float map, BN's normalized input, plus the two sigmoid
-        # outputs; no activation keeps a mask of its own
+        # outputs; no activation keeps a mask of its own. Every layer of a
+        # block but the last keeps that map in the model's one scratch (its
+        # buffer slot holds a copy until backward), where the block's
+        # recompute node restores it; the last layer keeps its own.
         cfg = NetworkConfig(growth_rate=2, layers_per_block=3, depth=1,
                             final_block_layers=2)
         model = MaskSeparator(cfg, seed=0)
@@ -231,10 +235,15 @@ class TestGraphHoldsNodes:
         assert [(op, a.shape) for op, a in arrays if a.dtype == bool] == []
         buffers = {id(memory_owner(a)) for op, a in arrays
                    if op in ("conv2d", "transposed_conv2")}
-        beyond = Counter(op for op, a in arrays if a.ndim == 4 and a.dtype.kind == "f"
+        scratch = id(model.scratch.flat)
+        beyond = Counter((op, id(memory_owner(a)) == scratch) for op, a in arrays
+                         if a.ndim == 4 and a.dtype.kind == "f"
                          and id(memory_owner(a)) not in buffers)
         layers = 3 * (3 * 3) + 2  # three branches of three 3-layer blocks, the fusion block
-        assert beyond == {"batchnorm_act": layers, "sigmoid": 2}
+        blocks = 3 * 3 + 1
+        assert beyond == {("batchnorm_act", False): blocks,
+                          ("batchnorm_act", True): layers - blocks,
+                          ("recompute", True): blocks, ("sigmoid", False): 2}
 
     def test_interior_output_freed_when_dropped(self):
         x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
@@ -270,6 +279,7 @@ FLOAT32_OPS = {
         x, g, b, RunningStats(3, dtype=np.float32), False)),
     "batchnorm_act": ([(2, 3, 4, 4), (3,), (3,)], lambda x, g, b: batchnorm_act(
         x, g, b, RunningStats(3, dtype=np.float32), 0.1)),
+    "recompute": ([(3, 4)], lambda a: recompute(a, lambda: None)),
     "relu": ([(3, 4)], relu),
     "leaky_relu": ([(3, 4)], lambda a: leaky_relu(a, 0.1)),
     "sigmoid": ([(3, 4)], sigmoid),
@@ -282,7 +292,7 @@ FLOAT32_OPS = {
 
 class TestFloat32:
     def test_every_public_op_listed(self):
-        not_ops = {"Tensor", "RunningStats", "no_grad", "numeric_gradient",
+        not_ops = {"Tensor", "RunningStats", "no_grad", "affine_act", "numeric_gradient",
                    "assert_gradients_match"}
         assert set(T.__all__) - not_ops <= set(FLOAT32_OPS)
 
@@ -930,11 +940,54 @@ class TestBatchNormAct:
         assert np.isnan(y.data[0, 0]).all() and np.isnan(state.mean[0])
         assert np.isfinite(y.data[0, 1]).all() and (y.data[0, 1] < 0).any()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01], ids=["relu", "leaky_relu"])
+    def test_keep_holds_xhat_that_rebuilds_the_output(self, alpha):
+        # the caller may use keep and the output in between, if it puts xhat
+        # back and rebuilds the output with affine_act before backward
+        def run(keep):
+            gen = np.random.default_rng(45)
+            x = Tensor(gen.standard_normal((2, 3, 4, 5)), requires_grad=True)
+            gamma = Tensor(gen.uniform(0.5, 1.5, 3), requires_grad=True)
+            beta = Tensor(gen.normal(0.0, 0.5, 3), requires_grad=True)
+            y = batchnorm_act(x, gamma, beta, RunningStats(3), alpha, keep=keep)
+            out = y.data.copy()
+            if keep is not None:
+                xhat = keep.copy()
+                y.data[...] = keep[...] = np.nan
+                keep[...] = xhat
+                np.testing.assert_array_equal(
+                    T.affine_act(keep, gamma.data, beta.data, alpha, out=y.data), out)
+            (y * gen.standard_normal(y.shape)).sum().backward()
+            return [out, x.grad, gamma.grad, beta.grad]
+
+        keep = np.empty((2, 7, 4, 5))[:, 2:5]
+        for got, want in zip(run(keep), run(None)):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.0])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="0 <= alpha < 1"):
             batchnorm_act(tens(np.ones((1, 1, 2, 2))), tens(np.ones(1)), tens(np.zeros(1)),
                           RunningStats(1), alpha)
+
+
+class TestRecompute:
+    def test_output_is_the_input(self):
+        x = tens(np.arange(4.0), grad=True)
+        y = recompute(x, lambda: None)
+        assert y.data is x.data
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.ones(4))
+
+    def test_fn_runs_before_the_vjps_of_earlier_ops(self):
+        # mul_const reads its constant in backward; the caller clobbers it
+        # after the forward pass and recompute's fn puts it back
+        x = tens(np.ones(3), grad=True)
+        const = np.array([1.0, 2.0, 3.0])
+        y = x * const
+        const[...] = 0.0
+        recompute(y, lambda: const.__setitem__(Ellipsis, [1.0, 2.0, 3.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
 
 
 SPATIAL_OPS = {

@@ -452,3 +452,40 @@ class TestStepMemory:
             tracemalloc.stop()
         assert mp.shape == mh.shape == x.shape
         assert held < bound, (held, bound)
+
+    def test_dense_layers_keep_one_map_each(self):
+        # The same count, for what a block keeps of its layers. Per block the
+        # graph may hold the buffer, where the first L - 1 layers' normalized
+        # maps wait for backward in place of their activations, the last
+        # layer's normalized map and output, and after an encoder block the
+        # pooling indices. Once per model it may hold the scratch where each
+        # block's normalized maps are made, and where its backward reads
+        # them. A layer that keeps its normalized map beside its activation
+        # breaks the bound.
+        k, layers, depth, final = 4, 3, 2, 3
+        net = NetworkConfig(growth_rate=k, layers_per_block=layers, depth=depth,
+                            final_block_layers=final)
+        model = MaskSeparator(net, seed=0)
+        n, hw = 2, 128
+        x = np.random.default_rng(0).random((n, 1, hw, hw))
+
+        def maps(channels, scale):
+            return channels * n * (hw >> scale) ** 2 * x.itemsize
+
+        def block(c_in, n_layers, scale):
+            return maps(c_in + (n_layers - 1) * k + k + k, scale)
+
+        branch = (sum(block(1 if s == 0 else k, layers, s) + maps(k, s + 1) / 8
+                      for s in range(depth))
+                  + block(k, layers, depth) + sum(block(2 * k, layers, s) for s in range(depth)))
+        scratch = maps((max(layers, final) - 1) * k, 0)
+        bound = 3 * branch + block(3 * k, final, 0) + scratch + maps(2, 0)  # + the two masks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mp, mh = model.forward(Tensor(x), training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert mp.shape == mh.shape == x.shape
+        assert held < bound, (held, bound)
