@@ -35,6 +35,7 @@ same-scale encoder output, and the fusion block's the branch outputs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -106,27 +107,16 @@ class ParamStore:
     ``branch1.enc0.layer2.conv.weight``), which gives the optimizer,
     checkpoint format, and diagnostics a single stable namespace.
 
-    A store opened on ``records`` (name -> stored array) fills each
-    parameter it makes and buffer it adds from the record of that name,
-    checking the shape first, so a model built from records is never
-    larger than they are. ``records`` keeps what nothing took.
+    A store opened on ``records``, a callable ``records(name, shape)``,
+    makes each parameter from it instead of ``init``, in the order the
+    model makes them: a checkpoint reader hands out its records as it reads
+    them. Buffers are added as they are, for the reader to fill after.
     """
 
     def __init__(self, records=None):
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
-        self.records = None if records is None else dict(records)
-
-    def _take(self, name, shape):
-        """The record of ``name`` with ``shape``, or None without records."""
-        if self.records is None:
-            return None
-        stored = self.records.pop(name, None)
-        if stored is None:
-            raise ValueError(f"checkpoint mismatch: no record {name!r}")
-        if stored.shape != shape:
-            raise ValueError(f"shape mismatch for {name!r}: stored {stored.shape}, model {shape}")
-        return stored
+        self.records = records
 
     def add_param(self, name, array):
         if name in self.params or name in self.buffers:
@@ -136,16 +126,13 @@ class ParamStore:
         return t
 
     def make_param(self, name, shape, init):
-        """A parameter of ``shape``: its record, else ``init(shape)``."""
-        stored = self._take(name, shape)
-        return self.add_param(name, init(shape) if stored is None else stored)
+        """A parameter of ``shape``: ``records(name, shape)``, else ``init(shape)``."""
+        return self.add_param(name, init(shape) if self.records is None
+                              else self.records(name, shape))
 
     def add_buffer(self, name, array):
         if name in self.params or name in self.buffers:
             raise ValueError(f"duplicate buffer name {name!r}")
-        stored = self._take(name, array.shape)
-        if stored is not None:
-            array[...] = stored
         self.buffers[name] = array
         return array
 
@@ -235,6 +222,10 @@ class _Scratch:
     sweep (see ``DenseBlock``), so every block of a model, and every graph
     the model has recorded, shares it. ``maps`` reallocates it only when a
     request does not fit, and so it stays sized for the largest block seen.
+    The first block of a forward (``branch0.enc0``) asks for the widest
+    maps unless ``final_block_layers > layers_per_block``; such a config
+    regrows the scratch once, at the fusion block, and the blocks before it
+    keep the array they were given.
     """
 
     __slots__ = ("flat",)
@@ -370,13 +361,17 @@ class MaskSeparator:
     (percussive, harmonic) mask pair of the same shape with values
     strictly inside (0, 1); in inference a lone (1, H, W) patch runs as a
     batch of one and gets (1, H, W) masks. H and W must be divisible by
-    2 ** depth. Given ``records`` (see ``ParamStore``), the model takes
-    its parameters and buffers from them instead of initializing them.
+    2 ** depth. ``dtype`` is float32 or float64. Given ``records`` (see
+    ``ParamStore``), the model takes each parameter from it as it makes
+    that parameter, instead of initializing it; its buffers keep their
+    initial values for the caller to fill.
     """
 
     def __init__(self, cfg=None, seed=0, dtype=np.float64, records=None):
         self.cfg = cfg or NetworkConfig()
         self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"the model's dtype must be float32 or float64, got {self.dtype}")
         self.store = ParamStore(records)
         rng = np.random.Generator(np.random.PCG64(seed))
         k = self.cfg.growth_rate
@@ -422,12 +417,6 @@ class MaskSeparator:
                 f"spatial dims must be divisible by {scale} for depth "
                 f"{self.cfg.depth}, got {h}x{w}"
             )
-        if training:
-            # the widest blocks run at full resolution; sized for them up
-            # front, the scratch is not regrown while earlier blocks hold it
-            layers = max(self.cfg.layers_per_block, self.cfg.final_block_layers)
-            self.scratch.maps((data.shape[0], (layers - 1) * self.cfg.growth_rate, h, w),
-                              self.dtype)
         with contextlib.nullcontext() if training else T.no_grad():
             outs = [branch.forward(x, training) for branch in self.branches]
             fused = self.fuse.forward(outs, training)
@@ -451,9 +440,12 @@ class MaskSeparator:
 #     u32  per dimension
 #     raw  little-endian payload
 # The header is the whole NetworkConfig; the records are values the model
-# built from it must match. What the weights compute (the activations and
-# their slope, the heads) is fixed by the version: a change to it bumps
-# _VERSION, and a loader refuses every version but its own.
+# built from it must match. Registry order is every parameter in the order
+# the model makes them, then every buffer in the order it adds them, and a
+# loader reads the records in that order: the last buffer's record ends
+# the file. What the weights compute (the activations and their slope, the
+# heads) is fixed by the version: a change to it bumps _VERSION, and a
+# loader refuses every version but its own.
 
 _MAGIC = b"HPSS"
 _VERSION = 2
@@ -517,25 +509,54 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_record(fh, size, name, shape, dtype):
+    """The next record of ``fh`` (of ``size`` bytes), which must be ``name`` of ``shape``.
+
+    Name and shape are checked before the payload is read, and the payload
+    only if the file holds it; it is returned cast to ``dtype``.
+    """
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"record {name!r}"))
+    found = _read_exact(fh, name_len, f"record {name!r}").decode("utf-8", "replace")
+    if found != name:
+        raise ValueError(f"checkpoint mismatch: record {found!r} where {name!r} belongs")
+    tag, rank = struct.unpack("<BB", _read_exact(fh, 2, f"{name} header"))
+    if tag not in _TAG_DTYPES:
+        raise ValueError(f"unknown dtype tag {tag} for {name!r}")
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
+    if dims != shape:
+        raise ValueError(f"shape mismatch for {name!r}: stored {dims}, model {shape}")
+    dt = _TAG_DTYPES[tag]
+    nbytes = math.prod(dims) * dt.itemsize
+    # read(n) allocates n bytes however few the file still holds
+    if nbytes > size - fh.tell():
+        raise ValueError(f"truncated checkpoint while reading {name} payload")
+    stored = np.frombuffer(_read_exact(fh, nbytes, f"{name} payload"), dtype=dt).reshape(dims)
+    if not np.isfinite(stored).all():
+        raise ValueError(f"record {name!r} holds non-finite values")
+    with np.errstate(over="ignore"):
+        array = stored.astype(dtype)
+    if not np.isfinite(array).all():
+        raise ValueError(f"record {name!r} overflows {np.dtype(dtype).name}")
+    return array
+
+
 def load_checkpoint(path, dtype=np.float64):
     """Rebuild a MaskSeparator and its normalization stats from disk.
 
     The header's sizes and branch kernels make the ``NetworkConfig``, which
-    checks them, before any record is read. Rejects unknown magics and
-    versions, non-finite stats and records that hold NaN or Inf. Each
-    record is cast to ``dtype``, and one whose finite values overflow it (a
-    float64 1e39 read as float32) is refused by name, not loaded as Inf.
-    The model built from the header takes each parameter and buffer from
-    the record of its name, refusing a missing or reshaped one before it
-    allocates anything for it (see ``ParamStore``), and none may be left
-    over. So a corrupt or hostile file fails with ValueError, never having
-    built a model larger than the file. The header's kernels become tuples
-    and every record its own array before the model is built, so what a
-    load allocates is a constant factor of the file's size: about 3 for
-    large records, and under 25 for the costliest files. Those hold
-    one-value records, whose 11 bytes on disk each become an array, a name
-    and a dict entry of some 240 bytes, or a header that names 65535
-    kernels.
+    checks them, before any record is read. The model built from it in
+    ``dtype`` then reads the records in registry order, one at a time: each
+    parameter as it makes it (see ``ParamStore``), then each buffer. A
+    record that is not the one the model asks for next, or not its shape,
+    is refused by name before its payload is read; a file that ends early
+    is truncated, and one with a byte after the last record is refused.
+    Rejects unknown magics and versions, non-finite stats, and records that
+    hold NaN or Inf or whose finite values overflow ``dtype`` (a float64
+    1e39 read as float32). So a corrupt or hostile file fails with
+    ValueError, never having built a model larger than the file. Beyond the
+    model, a load holds one record at a time (its payload and its cast) and
+    the header's kernel tuples: a header naming 65535 kernels costs under
+    25 times the file's size.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -553,36 +574,10 @@ def load_checkpoint(path, dtype=np.float64):
         stat_min, stat_max = struct.unpack("<dd", _read_exact(fh, 16, "stats"))
         if not (math.isfinite(stat_min) and math.isfinite(stat_max)):
             raise ValueError(f"non-finite normalization stats: min={stat_min}, max={stat_max}")
-        arrays = {}
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise ValueError("truncated checkpoint record header")
-            (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, "record name").decode("utf-8")
-            tag, rank = struct.unpack("<BB", _read_exact(fh, 2, f"{name} header"))
-            if tag not in _TAG_DTYPES:
-                raise ValueError(f"unknown dtype tag {tag} for {name!r}")
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
-            dt = _TAG_DTYPES[tag]
-            nbytes = math.prod(dims) * dt.itemsize
-            # read(n) allocates n bytes however few the file still holds
-            if nbytes > size - fh.tell():
-                raise ValueError(f"truncated checkpoint while reading {name} payload")
-            payload = _read_exact(fh, nbytes, f"{name} payload")
-            if name in arrays:
-                raise ValueError(f"duplicate record {name!r}")
-            stored = np.frombuffer(payload, dtype=dt).reshape(dims)
-            if not np.isfinite(stored).all():
-                raise ValueError(f"record {name!r} holds non-finite values")
-            with np.errstate(over="ignore"):
-                arrays[name] = stored.astype(dtype)
-            if not np.isfinite(arrays[name]).all():
-                raise ValueError(f"record {name!r} overflows {np.dtype(dtype).name}")
-
-    model = MaskSeparator(cfg, dtype=dtype, records=arrays)
-    if model.store.records:
-        raise ValueError(f"checkpoint mismatch: extra={sorted(model.store.records)[:3]}")
+        read = functools.partial(_read_record, fh, size, dtype=dtype)
+        model = MaskSeparator(cfg, dtype=dtype, records=read)
+        for name, buf in model.store.buffers.items():
+            buf[...] = read(name, buf.shape)
+        if fh.read(1):
+            raise ValueError("checkpoint has data after its last record")
     return model, GlobalStats(min_val=stat_min, max_val=stat_max)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import string
 import struct
 import tracemalloc
@@ -65,21 +66,28 @@ class TestParamStore:
         assert a.grad is None and b.grad is None
 
     def test_store_on_records_takes_them_without_init(self):
-        w = np.arange(6.0).reshape(2, 3)
-        store = ParamStore({"w": w, "b": np.zeros(2), "mean": np.full(2, 7.0),
-                            "left": np.zeros(1)})
+        asked = []
+
+        def records(name, shape):
+            asked.append((name, shape))
+            if name == "c":
+                raise ValueError("refused")
+            return np.arange(math.prod(shape), dtype=float).reshape(shape)
 
         def init(shape):
             raise AssertionError("init must not run for a stored parameter")
 
-        np.testing.assert_array_equal(store.make_param("w", (2, 3), init).data, w)
-        running = store.add_buffer("mean", np.zeros(2))
+        store = ParamStore(records)
+        np.testing.assert_array_equal(store.make_param("w", (2, 3), init).data,
+                                      np.arange(6.0).reshape(2, 3))
+        # buffers are not asked for: the reader fills them after the model is built
+        running = store.add_buffer("mean", np.full(2, 7.0))
         np.testing.assert_array_equal(running, [7.0, 7.0])
-        with pytest.raises(ValueError, match=r"shape mismatch for 'b': stored \(2,\)"):
-            store.make_param("b", (3,), init)
-        with pytest.raises(ValueError, match="no record 'c'"):
+        store.make_param("b", (3,), init)
+        with pytest.raises(ValueError, match="refused"):
             store.make_param("c", (1,), init)
-        assert list(store.records) == ["left"]
+        assert asked == [("w", (2, 3)), ("b", (3,)), ("c", (1,))]
+        assert list(store.params) == ["w", "b"]
 
 
 class TestCompositeLayer:
@@ -433,6 +441,13 @@ class TestMaskSeparator:
         for name, p in model.store.params.items():
             assert p.grad is not None and p.grad.dtype == np.float32, name
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
+    def test_model_of_another_dtype_rejected(self, dtype):
+        # a float16 model would build float64 weights and refuse every input
+        with pytest.raises(ValueError, match="the model's dtype must be float32 or float64, "
+                                             f"got {np.dtype(dtype)}"):
+            MaskSeparator(tiny_cfg(), seed=0, dtype=dtype)
+
     # what ``hpsep separate`` relies on: a float64 checkpoint loaded in
     # float32 gives the float64 masks of a full default tile to 1.1e-6 here
     FLOAT32_MASK_ATOL = 1e-5
@@ -680,13 +695,32 @@ def _one_value_records(count):
                     for name in itertools.islice(names, count))
 
 
-# Each turns a tiny model's checkpoint into a file that is costly per byte
-# to read: the records a file of its size can hold, or the kernel tuples
-# its header can name, take many bytes of Python objects each.
+# Each turns a tiny model's checkpoint into a file that would be costly per
+# byte to read whole: the records a file of its size can hold, or the kernel
+# tuples its header can name, take many bytes of Python objects each. Each
+# comes with the bound, in multiples of the file's size, that a load must
+# fail within: the loader refuses the first byte after the last record
+# without reading on, but makes every kernel tuple the header names.
 DENSE_HOSTILE = {
-    "records-50000-one-value": lambda blob: blob + _one_value_records(50_000),
-    "header-branches-65535-huge": lambda blob: _with_kernels(blob, [(_HUGE, _HUGE)] * 65535),
+    "records-50000-one-value": (lambda blob: blob + _one_value_records(50_000), 1),
+    "header-branches-65535-huge":
+        (lambda blob: _with_kernels(blob, [(_HUGE, _HUGE)] * 65535), 25),
 }
+
+
+def _split_records(blob, n_branches=len(BRANCH_KERNELS)):
+    """A checkpoint's header bytes and its records as (name, bytes) pairs, in file order."""
+    at = conftest.checkpoint_header(n_branches)["end"]
+    header, records = blob[:at], []
+    while at < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2 : at + 2 + name_len].decode()
+        tag, rank = struct.unpack_from("<BB", blob, at + 2 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", blob, at + 4 + name_len)
+        end = at + 4 + name_len + 4 * rank + math.prod(dims) * (4 if tag == 0 else 8)
+        records.append((name, blob[at:end]))
+        at = end
+    return header, records
 
 
 @pytest.fixture(scope="module")
@@ -768,7 +802,8 @@ class TestCheckpoint:
             del model.store.params[name]
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
-        with pytest.raises(ValueError, match="no record 'branch0.enc0.layer0.conv.weight'"):
+        with pytest.raises(ValueError, match="checkpoint mismatch: record 'fuse.layer0.conv.weight' "
+                                             "where 'branch0.enc0.layer0.conv.weight' belongs"):
             load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
@@ -798,9 +833,10 @@ class TestCheckpoint:
     # the model built from the header fails on the first record it does not find
     REFUSED_BY = {
         "growth_rate": "shape mismatch for 'branch0.enc0.layer0.conv.weight'",
-        "layers_per_block": "no record 'branch0.enc0.layer2.conv.weight'",
-        "depth": "no record 'branch0.enc2.layer0.conv.weight'",
-        "final_block_layers": "no record 'fuse.layer2.conv.weight'",
+        "layers_per_block":
+            "record 'branch0.enc1.layer0.conv.weight' where 'branch0.enc0.layer2.conv.weight'",
+        "depth": "record 'branch0.mid.layer0.conv.weight' where 'branch0.enc2.layer0.conv.weight'",
+        "final_block_layers": "record 'head_perc.weight' where 'fuse.layer2.conv.weight'",
     }
 
     @pytest.mark.parametrize("offset, key, value", [
@@ -818,9 +854,39 @@ class TestCheckpoint:
 
     def test_rejects_record_the_model_does_not_make(self, tmp_path):
         _, _, path = self.roundtrip_model(tmp_path)
-        with open(path, "ab") as fh:
-            fh.write(_record("zz.extra", np.zeros(2)))
-        with pytest.raises(ValueError, match=r"extra=\['zz.extra'\]"):
+        header, records = _split_records(path.read_bytes())
+        path.write_bytes(header + _record("zz.extra", np.zeros(2))
+                         + b"".join(r for _, r in records))
+        with pytest.raises(ValueError, match="checkpoint mismatch: record 'zz.extra' "
+                                             "where 'branch0.enc0.layer0.conv.weight' belongs"):
+            load_checkpoint(path)
+
+    # each turns the records of a saved checkpoint into a file that is refused
+    # at the record the model asked for, before that record's payload is read
+    BROKEN_RECORDS = {
+        # two buffers of one shape, told apart by name and order alone
+        "swapped": (lambda rs: rs[:-2] + [rs[-1], rs[-2]],
+                    "checkpoint mismatch: record 'fuse.layer1.bn.running_var' "
+                    "where 'fuse.layer1.bn.running_mean' belongs"),
+        "duplicated": (lambda rs: rs[:1] + rs,
+                       "checkpoint mismatch: record 'branch0.enc0.layer0.conv.weight' "
+                       "where 'branch0.enc0.layer0.conv.bias' belongs"),
+        "missing-last-buffer": (lambda rs: rs[:-1],
+                                "truncated checkpoint while reading "
+                                "record 'fuse.layer1.bn.running_var'"),
+        "one-trailing-byte": (lambda rs: rs + [("", b"\0")],
+                              "checkpoint has data after its last record"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_RECORDS))
+    def test_rejects_records_out_of_registry_order(self, tmp_path, case):
+        _, _, path = self.roundtrip_model(tmp_path)
+        header, records = _split_records(path.read_bytes())
+        assert [name for name, _ in records[-2:]] == ["fuse.layer1.bn.running_mean",
+                                                      "fuse.layer1.bn.running_var"]
+        change, message = self.BROKEN_RECORDS[case]
+        path.write_bytes(header + b"".join(r for _, r in change(records)))
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("offset, value", [(HEADER["stat_min"], -np.inf),
@@ -843,6 +909,13 @@ class TestCheckpoint:
         path.write_bytes(_with_first_value(path.read_bytes(), "head_perc.bias", value))
         with pytest.raises(ValueError, match="'head_perc.bias' holds non-finite"):
             load_checkpoint(path)
+
+    def test_integer_dtype_is_refused_before_any_record_is_read(self, tmp_path):
+        _, _, path = self.roundtrip_model(tmp_path)
+        header, _ = _split_records(path.read_bytes())
+        path.write_bytes(header)  # a record read would fail as truncated
+        with pytest.raises(ValueError, match="float32 or float64, got int32"):
+            load_checkpoint(path, dtype=np.int32)
 
     def test_record_that_overflows_the_dtype_is_refused_by_name(self, tmp_path):
         model = MaskSeparator(tiny_cfg(), seed=27)
@@ -890,12 +963,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", sorted(DENSE_HOSTILE))
     def test_dense_hostile_file_fails_within_the_documented_factor(self, tmp_path, case):
-        # load_checkpoint's docstring promises under 25 times the file's size
+        # load_checkpoint's docstring: one record at a time, and under 25
+        # times the file's size for a header naming 65535 kernels
+        make, bound = DENSE_HOSTILE[case]
         model = MaskSeparator(tiny_cfg(growth_rate=1, layers_per_block=1, depth=1,
                                        final_block_layers=1), seed=0)
         path = tmp_path / "hostile.ckpt"
         save_checkpoint(path, model.cfg, GlobalStats(0.0, 1.0), model.store)
-        blob = DENSE_HOSTILE[case](path.read_bytes())
+        blob = make(path.read_bytes())
         path.write_bytes(blob)
         tracemalloc.start()
         try:
@@ -904,7 +979,7 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25 * len(blob), peak / len(blob)
+        assert peak < bound * len(blob), peak / len(blob)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model, stats, path = self.roundtrip_model(tmp_path)
