@@ -8,17 +8,22 @@ graph. A link is the input's own node when the input was itself
 recorded, the input Tensor when it is a tracked leaf (leaves receive
 ``grad``), and None for an untracked input.
 
+Every VJP returns a gradient for each of its inputs, and the sweep keeps
+only those of tracked inputs; the gradient of an untracked one is
+dropped. The one exception is ``conv2d``, which skips dx for an
+untracked input: the network input feeds the first conv of each branch.
+
 The graph holds nodes, not values. A node never refers to its output
-Tensor, and a VJP closure captures only the arrays and ``requires_grad``
-flags it reads, never an input Tensor. So the graph retains exactly what
-backward will read, and an interior output that no later VJP reads (a
-conv output that only feeds a batchnorm, say) is freed as soon as the
-caller drops it. Calling ``backward`` on a scalar runs the VJPs under
-it once, in reverse recording order, and consumes the graph. An op is
-recorded after its inputs, so that order is topological. Only leaves
-keep a gradient, and each node lets go of its links and closure as soon
-as its VJP has run, so the saved arrays are freed during the sweep. A
-consumed graph cannot be swept again.
+Tensor, and a VJP closure captures only the arrays it reads, never an
+input Tensor. So the graph retains exactly what backward will read, and
+an interior output that no later VJP reads (a conv output that only
+feeds a batchnorm, say) is freed as soon as the caller drops it.
+Calling ``backward`` on a scalar runs the VJPs under it once, in reverse
+recording order, and consumes the graph. An op is recorded after its
+inputs, so that order is topological. Only leaves keep a gradient, and
+each node lets go of its links and closure as soon as its VJP has run,
+so the saved arrays are freed during the sweep. A consumed graph cannot
+be swept again.
 
 Layout convention: the spatial ops (``conv2d``, ``transposed_conv2``,
 ``maxpool2``, ``batchnorm``, ``batchnorm_act``) take and return batched,
@@ -442,6 +447,7 @@ def conv2d(x, weight, bias):
     whole-map stacks on 2-D padded maps; dw is summed over bands, which
     reorders its float sum. A kn2row output or dx is a view of its flat
     accumulator, so its channel stride is the padded length, not H*W.
+    For an untracked x the VJP returns dx as None and skips its products.
     """
     xb = _maps(x.data)
     w = weight.data
@@ -459,7 +465,9 @@ def conv2d(x, weight, bias):
     n, _, h, wd = xb.shape
     taps = kh * kw
     narrow_out = c_out < c_in
-    need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
+    # the first conv of each branch reads the untracked network input,
+    # whose dx the sweep would drop: the one gradient a VJP skips
+    need_dx = x.requires_grad
 
     if narrow_out:
         # output = sum over taps of shift(W_tap @ x); _shift_add shifts the
@@ -475,32 +483,27 @@ def conv2d(x, weight, bias):
     out += b[:, None, None]
 
     def fn(g):
-        dx = dw = db = None
-        if need_db:
-            db = g.sum(axis=(0, 2, 3))
+        dx = dw = None
+        db = g.sum(axis=(0, 2, 3))
         if narrow_out:
             # the adjoint of tap (i, j) is the shift of the flipped tap, so one
             # band of output-gradient shifts serves dx and dw alike
             if need_dx:
                 wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
                 dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, g))
-            if need_dx or need_dw:
-                for r0, r1, gcols in _tap_stacks(g, kh, kw):
-                    if need_dw:
-                        part = (gcols @ _rows(xb, r0, r1).transpose(0, 2, 1)).sum(axis=0)
-                        dw = part if dw is None else dw + part
-                    if need_dx:
-                        np.matmul(wflip, gcols, out=_rows(dx, r0, r1))
-                    del gcols
-            if need_dw:
-                dw = dw.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            for r0, r1, gcols in _tap_stacks(g, kh, kw):
+                part = (gcols @ _rows(xb, r0, r1).transpose(0, 2, 1)).sum(axis=0)
+                dw = part if dw is None else dw + part
+                if need_dx:
+                    np.matmul(wflip, gcols, out=_rows(dx, r0, r1))
+                del gcols
+            dw = dw.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         else:
-            if need_dw:
-                for r0, r1, xcols in _tap_stacks(xb, kh, kw):
-                    part = (_rows(g, r0, r1) @ xcols.transpose(0, 2, 1)).sum(axis=0)
-                    dw = part if dw is None else dw + part
-                    del xcols
-                dw = dw.reshape(w.shape)
+            for r0, r1, xcols in _tap_stacks(xb, kh, kw):
+                part = (_rows(g, r0, r1) @ xcols.transpose(0, 2, 1)).sum(axis=0)
+                dw = part if dw is None else dw + part
+                del xcols
+            dw = dw.reshape(w.shape)
             if need_dx:
                 wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
                 dx = _gemm_shift_add(wrows, g, kh, kw)
@@ -529,7 +532,6 @@ def transposed_conv2(x, weight, bias):
         raise ValueError(f"bias shape {b.shape} does not match {c_out} output channels")
 
     n, _, h, wd = xb.shape
-    need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
     wm = w.reshape(c_in, 4 * c_out)
     xm = xb.reshape(n, c_in, h * wd)
     out = (wm.T @ xm).reshape(n, c_out, 2, 2, h, wd).transpose(0, 1, 4, 2, 5, 3)
@@ -539,10 +541,9 @@ def transposed_conv2(x, weight, bias):
     def fn(g):
         gm = g.reshape(n, c_out, h, 2, wd, 2).transpose(0, 1, 3, 5, 2, 4)
         gm = gm.reshape(n, 4 * c_out, h * wd)
-        dx = (wm @ gm).reshape(xb.shape) if need_dx else None
-        dw = (xm @ gm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if need_dw else None
-        db = g.sum(axis=(0, 2, 3)) if need_db else None
-        return (dx, dw, db)
+        dx = (wm @ gm).reshape(xb.shape)
+        dw = (xm @ gm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return _record(out, (x, weight, bias), fn, "transposed_conv2")
 
@@ -626,31 +627,26 @@ def _batch_normalized(xb, state, out=None):
     return _normalized(xb, mu, var, state.eps, out)
 
 
-def _bn_grads(g, xhat, ivar, gdata, needs, training, out=None):
+def _bn_grads(g, xhat, ivar, gdata, training, out=None):
     """(dx, dgamma, dbeta) of ``gamma * xhat + beta`` for output gradient g.
 
-    ``needs`` flags which of the three to compute. In training, dx also
-    flows through the batch mean and variance. dx is built in ``out`` if
-    given (g itself may be passed), else in one new map, and every later
-    step runs in place; one more map holds the products with xhat.
+    In training, dx also flows through the batch mean and variance. dgamma
+    and dbeta are summed first, so ``out`` may be g itself: dx is built
+    there if given, else in one new map, and every later step runs in
+    place; one more map holds the products with xhat.
     """
-    need_dx, need_dgamma, need_dbeta = needs
-    dgamma = dbeta = dx = tmp = None
-    if need_dgamma:
-        tmp = g * xhat
-        dgamma = tmp.sum(axis=(0, 2, 3))
-    if need_dbeta:
-        dbeta = g.sum(axis=(0, 2, 3))
-    if need_dx:
-        dx = np.multiply(g, gdata[None, :, None, None], out=out)  # dxhat
-        if training:
-            # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * ivar
-            mean_dxhat = dx.mean(axis=(0, 2, 3), keepdims=True)
-            tmp = np.multiply(dx, xhat, out=tmp)
-            mean_dxhat_xhat = tmp.mean(axis=(0, 2, 3), keepdims=True)
-            dx -= mean_dxhat
-            dx -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
-        dx *= ivar[None, :, None, None]
+    tmp = g * xhat
+    dgamma = tmp.sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    dx = np.multiply(g, gdata[None, :, None, None], out=out)  # dxhat
+    if training:
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * ivar
+        mean_dxhat = dx.mean(axis=(0, 2, 3), keepdims=True)
+        np.multiply(dx, xhat, out=tmp)
+        mean_dxhat_xhat = tmp.mean(axis=(0, 2, 3), keepdims=True)
+        dx -= mean_dxhat
+        dx -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    dx *= ivar[None, :, None, None]
     return (dx, dgamma, dbeta)
 
 
@@ -673,10 +669,9 @@ def batchnorm(x, gamma, beta, state, training):
         xhat, ivar = _normalized(xb, state.mean, state.var, state.eps)
     gdata = gamma.data
     out = gdata[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def fn(g):
-        return _bn_grads(g, xhat, ivar, gdata, needs, training)
+        return _bn_grads(g, xhat, ivar, gdata, training)
 
     return _record(out, (x, gamma, beta), fn, "batchnorm")
 
@@ -723,7 +718,6 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None, keep=None):
     xhat, ivar = _batch_normalized(xb, state, keep)
     gdata, bdata = gamma.data, beta.data
     h = affine_act(xhat, gdata, bdata, alpha, out)
-    needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     def fn(g):
         # the activation's gradient, written over the rebuilt map
@@ -737,7 +731,7 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None, keep=None):
             # g times the mask as 1.0 and 0.0: the bits of g * (gh > 0)
             np.greater(gh, 0.0, out=gh)
             gh *= g
-        return _bn_grads(gh, xhat, ivar, gdata, needs, True, out=gh)
+        return _bn_grads(gh, xhat, ivar, gdata, True, out=gh)
 
     return _record(h, (x, gamma, beta), fn, "batchnorm_act")
 

@@ -496,6 +496,18 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_memory_error_exits_1_with_one_line(self, monkeypatch, capsys):
+        # numpy's message when an allocation fails; the test allocates nothing
+        message = ("Unable to allocate 512. GiB for an array with shape (68719476736,) "
+                   "and data type float64")
+
+        def no_memory(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "load_run_config", no_memory)
+        assert cli.main(["param-count"]) == 1
+        assert capsys.readouterr().err == f"hpsep: error: {message}\n"
+
     def test_separate_rejects_non_finite_input(self, tmp_path, capsys):
         _, _, ckpt = small_checkpoint(tmp_path)
         mix = tmp_path / "mix.wav"
