@@ -99,6 +99,9 @@ class SynthSpec:
             raise ValueError("n_tracks must be >= 1")
         if not 0.0 < self.duration_s < math.inf:  # NaN fails it too
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if round(self.duration_s * SAMPLE_RATE) < WIN_LENGTH:
+            raise ValueError(f"duration_s {self.duration_s} is shorter than the "
+                             f"{WIN_LENGTH}-sample analysis window")
         if self.voices < 1 or self.partials < 1:
             raise ValueError("voices and partials must be >= 1")
         if F0_MAX_HZ * self.partials >= NYQUIST:

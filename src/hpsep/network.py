@@ -167,18 +167,19 @@ class CompositeLayer:
     The layer owns its six arrays: the conv's ``weight`` and ``bias``,
     batchnorm's ``gamma`` and ``beta``, and the running statistics in
     ``state``, registered as ``<name>.conv.*`` and ``<name>.bn.*``. The
-    activation is ReLU or LeakyReLU with slope ``LEAKY_ALPHA``.
+    activation is LeakyReLU at the layer's slope ``alpha``: 0 (ReLU), or
+    ``LEAKY_ALPHA``.
 
     In training the layer records two ops: ``conv2d``, and batchnorm with
     the activation as one ``batchnorm_act``, whose node keeps only the
     normalized map (the conv's node keeps only a view of its input). In
     inference (``training`` False) the layer runs folded: batchnorm's
     running statistics are folded into the conv weight and bias (Jacob et
-    al. 2018, arXiv:1712.05877), so one ``conv2d`` gives the normalized map,
-    and ``relu`` or ``leaky_relu`` activates it. The masks match the
-    unfolded conv -> batchnorm within roundoff (about 1e-15 relative in
-    float64). Both modes write the activation straight into ``out`` when it
-    is given.
+    al. 2018, arXiv:1712.05877), and the layer is one ``conv2d``, which
+    gives the normalized map, and one ``leaky_relu`` at ``alpha``. The masks
+    match the unfolded conv -> batchnorm within roundoff (about 1e-15
+    relative in float64). Both modes write the activation straight into
+    ``out`` when it is given.
     """
 
     def __init__(self, store, name, c_in, c_out, kernel, rng, dtype, activation="relu"):
@@ -202,10 +203,7 @@ class CompositeLayer:
         if training:
             return T.batchnorm_act(T.conv2d(x, self.weight, self.bias), self.gamma,
                                    self.beta, self.state, self.alpha, out=out, keep=keep)
-        h = self._folded(x)
-        if self.alpha:
-            return T.leaky_relu(h, self.alpha, out=out)
-        return T.relu(h, out=out)
+        return T.leaky_relu(self._folded(x), self.alpha, out=out)
 
     def _folded(self, x):
         """conv -> inference batchnorm as one conv."""

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import weakref
 from collections import Counter
@@ -87,6 +88,26 @@ class TestArithmetic:
         assert y._node is None
         with pytest.raises(ValueError):
             y.backward()
+
+    def test_reused_no_grad_restores_recording(self, monkeypatch):
+        # entering one no_grad object twice, nested, raises at the second
+        # entry; the first one's exit still turns recording back on (and
+        # monkeypatch turns it on for the next test should that fail)
+        monkeypatch.setattr(T, "_grad_enabled", True)
+        x = tens([1.0], grad=True)
+        ng = no_grad()
+        with contextlib.suppress(Exception):
+            with ng:
+                with ng:
+                    pass
+        assert (x * 2.0)._node is not None
+
+    def test_one_element_matrix_item_and_gradient_check(self):
+        # backward takes any one-element output, and so do item() and the
+        # finite-difference check that calls it
+        x = tens([[2.0]], grad=True)
+        assert (x * x).item() == 4.0
+        assert_gradients_match(lambda: x * x, [x])
 
     def test_diamond_graph_single_visit(self):
         # z = a*a + a*a visits a's consumers once each; grad = 4a
@@ -1084,6 +1105,31 @@ class TestElementwise:
 
         assert_gradients_match(loss, [x], names=["x"])
 
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.01], ids=["relu", "leaky_0", "leaky_0.01"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_and_gradients_bit_for_bit(self, alpha, dtype):
+        # against max(x, 0) with gradient g times the 0/1 mask of x > 0 at
+        # slope 0 (so -inf, -3 and -0.0 give +0.0, not NaN or -0.0), and
+        # max(x, alpha * x) with g or g * alpha otherwise, byte for byte;
+        # every x meets every g, and the node keeps no mask
+        xs = np.array([-np.inf, -3.0, -0.0, 0.0, 2.0, np.inf, np.nan], dtype)
+        gs = np.array([-1.5, 2.0, -0.0, 0.0, np.inf, -np.inf, np.nan], dtype)
+        x = Tensor(np.repeat(xs, gs.size), requires_grad=True)
+        g = np.tile(gs, xs.size)
+        y = relu(x) if alpha is None else leaky_relu(x, alpha)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            (got,) = y._node.backward(g)
+            if alpha:
+                want = np.maximum(x.data, alpha * x.data)
+                want_g = np.where(x.data > 0, g, g * alpha)
+            else:
+                want, want_g = np.maximum(x.data, 0.0), g * (x.data > 0)
+        assert y.dtype == got.dtype == dtype
+        assert y.data.tobytes() == want.tobytes()
+        assert got.tobytes() == want_g.tobytes()
+        _, _, arrays = graph_contents(y)
+        assert [a.shape for _, a in arrays if a.dtype == bool] == []
+
     def test_nan_passes_through_activations(self):
         x = tens([np.nan, -1.0, 2.0])
         np.testing.assert_array_equal(relu(x).data, [np.nan, 0.0, 2.0])
@@ -1116,6 +1162,21 @@ class TestActivationOut:
         assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, 3:]).all()
         got.sum().backward()
         assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_out_may_be_the_input(self, rng, name):
+        # the VJP reads the kept input's sign, which the output shares
+        fn = ACTIVATIONS[name]
+        values = rng.standard_normal((2, 2, 4, 3))
+        proj = rng.standard_normal(values.shape)
+        plain, inplace = Tensor(values, requires_grad=True), Tensor(values.copy(), True)
+        want = fn(plain)
+        got = fn(inplace, out=inplace.data)
+        assert got.data is inplace.data
+        np.testing.assert_array_equal(got.data, want.data)
+        (want * proj).sum().backward()
+        (got * proj).sum().backward()
+        np.testing.assert_array_equal(inplace.grad, plain.grad)
 
     @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_gradients_match_finite_differences(self, rng, name):

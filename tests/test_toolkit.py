@@ -747,14 +747,18 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_gen_data_refuses_non_finite_duration(self, value, tmp_path, capsys):
+    @pytest.mark.parametrize(("value", "message"), [
+        ("inf", "duration_s must be finite and positive, got inf"),
+        ("nan", "duration_s must be finite and positive, got nan"),
+        # 441 samples: every command that reads the tracks would refuse them
+        ("0.01", "duration_s 0.01 is shorter than the 1024-sample analysis window"),
+    ], ids=["inf", "nan", "0.01"])
+    def test_gen_data_refuses_non_finite_duration(self, value, message, tmp_path, capsys):
         spec_path = tmp_path / "synth.cfg"
         spec_path.write_text(f"n_tracks = 1\nduration_s = {value}\n")
         data_dir = tmp_path / "data"
         assert cli.main(["gen-data", "--spec", str(spec_path), "--out", str(data_dir)]) == 1
-        assert (f"hpsep: error: duration_s must be finite and positive, got {value}"
-                in capsys.readouterr().err)
+        assert f"hpsep: error: {message}" in capsys.readouterr().err
         assert not data_dir.exists()
 
     @staticmethod
