@@ -167,8 +167,9 @@ class CompositeLayer:
     The layer owns its six arrays: the conv's ``weight`` and ``bias``,
     batchnorm's ``gamma`` and ``beta``, and the running statistics in
     ``state``, registered as ``<name>.conv.*`` and ``<name>.bn.*``. The
-    activation is LeakyReLU at the layer's slope ``alpha``: 0 (ReLU), or
-    ``LEAKY_ALPHA``.
+    activation is the layer's slope ``alpha``: LeakyReLU at that slope,
+    which is ReLU at 0 and the fusion block's LeakyReLU at ``LEAKY_ALPHA``.
+    The layer's first forward refuses a slope outside [0, 1).
 
     In training the layer records two ops: ``conv2d``, and batchnorm with
     the activation as one ``batchnorm_act``, whose node keeps only the
@@ -182,9 +183,7 @@ class CompositeLayer:
     ``out`` when it is given.
     """
 
-    def __init__(self, store, name, c_in, c_out, kernel, rng, dtype, activation="relu"):
-        if activation not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, store, name, c_in, c_out, kernel, rng, dtype, alpha=0.0):
         self.weight, self.bias = _conv_params(store, f"{name}.conv", c_in, c_out, kernel,
                                               rng, dtype)
         self.gamma = store.make_param(f"{name}.bn.gamma", (c_out,), lambda s: np.ones(s, dtype))
@@ -192,7 +191,7 @@ class CompositeLayer:
         self.state = RunningStats(c_out, dtype=dtype)
         store.add_buffer(f"{name}.bn.running_mean", self.state.mean)
         store.add_buffer(f"{name}.bn.running_var", self.state.var)
-        self.alpha = 0.0 if activation == "relu" else LEAKY_ALPHA  # 0 is ReLU
+        self.alpha = alpha
 
     def forward(self, x, training, out=None, keep=None):
         """The layer's activation, written into the array ``out`` if given.
@@ -264,12 +263,12 @@ class DenseBlock:
     """
 
     def __init__(self, store, name, in_channels, growth_rate, layers, kernel, rng,
-                 dtype, activation="relu", scratch=None):
+                 dtype, alpha=0.0, scratch=None):
         self.in_channels = in_channels
         self.out_channels = growth_rate
         self.layers = [
             CompositeLayer(store, f"{name}.layer{i}", in_channels + i * growth_rate,
-                           growth_rate, kernel, rng, dtype, activation=activation)
+                           growth_rate, kernel, rng, dtype, alpha=alpha)
             for i in range(layers)
         ]
         self.connection_count = layers * (layers + 1) // 2
@@ -381,7 +380,7 @@ class MaskSeparator:
         ]
         fused_in = k * len(self.branches)
         self.fuse = DenseBlock(self.store, "fuse", fused_in, k, self.cfg.final_block_layers,
-                               (3, 3), rng, dtype, activation="leaky_relu",
+                               (3, 3), rng, dtype, alpha=LEAKY_ALPHA,
                                scratch=self.scratch)
         self.head_perc = _conv_params(self.store, "head_perc", k, 1, (1, 1), rng, dtype)
         self.head_harm = _conv_params(self.store, "head_harm", k, 1, (1, 1), rng, dtype)

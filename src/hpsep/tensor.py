@@ -10,8 +10,7 @@ recorded, the input Tensor when it is a tracked leaf (leaves receive
 
 Every VJP returns a gradient for each of its inputs, and the sweep keeps
 only those of tracked inputs; the gradient of an untracked one is
-dropped. The one exception is ``conv2d``, which skips dx for an
-untracked input: the network input feeds the first conv of each branch.
+dropped.
 
 The graph holds nodes, not values. A node never refers to its output
 Tensor, and a VJP closure captures only the arrays it reads, never an
@@ -61,7 +60,7 @@ case. Its VJP reads the sign of the input it kept, so no call builds a mask.
 ``batchnorm_act`` is training-mode ``batchnorm`` followed by
 ``leaky_relu``, recorded as one node. It writes the activation straight
 into ``out`` and keeps only the normalized map and the per-channel
-inverse deviations; its VJP rebuilds the activation mask from them. It
+inverse deviations; its VJP rebuilds the activation's slope from them. It
 shares training-mode batchnorm's statistics and gradient code with
 ``batchnorm``, and its results are bit-identical to the two ops'. Given
 ``keep``, it writes the normalized map there, into an array the caller
@@ -251,7 +250,7 @@ class Tensor:
         for node in nodes:
             g = grads.pop(id(node))
             for parent, pg in zip(node.parents, node.backward(g)):
-                if pg is None or parent is None:
+                if parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -447,7 +446,6 @@ def conv2d(x, weight, bias):
     whole-map stacks on 2-D padded maps; dw is summed over bands, which
     reorders its float sum. A kn2row output or dx is a view of its flat
     accumulator, so its channel stride is the padded length, not H*W.
-    For an untracked x the VJP returns dx as None and skips its products.
     """
     xb = _maps(x.data)
     w = weight.data
@@ -465,9 +463,6 @@ def conv2d(x, weight, bias):
     n, _, h, wd = xb.shape
     taps = kh * kw
     narrow_out = c_out < c_in
-    # the first conv of each branch reads the untracked network input,
-    # whose dx the sweep would drop: the one gradient a VJP skips
-    need_dx = x.requires_grad
 
     if narrow_out:
         # output = sum over taps of shift(W_tap @ x); _shift_add shifts the
@@ -483,19 +478,17 @@ def conv2d(x, weight, bias):
     out += b[:, None, None]
 
     def fn(g):
-        dx = dw = None
+        dw = None
         db = g.sum(axis=(0, 2, 3))
         if narrow_out:
             # the adjoint of tap (i, j) is the shift of the flipped tap, so one
             # band of output-gradient shifts serves dx and dw alike
-            if need_dx:
-                wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
-                dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, g))
+            wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, c_out * taps)
+            dx = np.empty((n, c_in, h, wd), dtype=np.result_type(w, g))
             for r0, r1, gcols in _tap_stacks(g, kh, kw):
                 part = (gcols @ _rows(xb, r0, r1).transpose(0, 2, 1)).sum(axis=0)
                 dw = part if dw is None else dw + part
-                if need_dx:
-                    np.matmul(wflip, gcols, out=_rows(dx, r0, r1))
+                np.matmul(wflip, gcols, out=_rows(dx, r0, r1))
                 del gcols
             dw = dw.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         else:
@@ -504,9 +497,8 @@ def conv2d(x, weight, bias):
                 dw = part if dw is None else dw + part
                 del xcols
             dw = dw.reshape(w.shape)
-            if need_dx:
-                wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
-                dx = _gemm_shift_add(wrows, g, kh, kw)
+            wrows = w.transpose(1, 2, 3, 0).reshape(c_in * taps, c_out)
+            dx = _gemm_shift_add(wrows, g, kh, kw)
         return (dx, dw, db)
 
     return _record(out, (x, weight, bias), fn, "conv2d")
@@ -703,10 +695,10 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None, keep=None):
     bit-identical to the two ops', but the map ``gamma * xhat + beta`` is
     written straight into ``out`` (a channel slice of a dense block's
     feature buffer, say) and activated there, and the recorded node keeps
-    only ``xhat`` and ``ivar``: its VJP rebuilds the activation mask from
-    them with the forward's own arithmetic, instead of the activation
-    keeping a mask of its own (fused batchnorm and activation; Rota Bulò
-    et al. 2018, arXiv:1712.02616).
+    only ``xhat`` and ``ivar``: its VJP rebuilds the activation's slope, 1
+    or ``alpha`` at each value, from them with the forward's own
+    arithmetic, instead of the activation keeping a mask of its own (fused
+    batchnorm and activation; Rota Bulò et al. 2018, arXiv:1712.02616).
 
     ``xhat`` is written into ``keep`` when it is given, and the VJP reads
     it there. The caller may reuse that array in between, provided it puts
@@ -720,17 +712,15 @@ def batchnorm_act(x, gamma, beta, state, alpha, out=None, keep=None):
     h = affine_act(xhat, gdata, bdata, alpha, out)
 
     def fn(g):
-        # the activation's gradient, written over the rebuilt map
+        # the activation's gradient, written over the rebuilt map: the slope
+        # max(gh > 0, alpha) is 1.0 where the map is positive and alpha
+        # elsewhere (NaN too) only for 0 <= alpha < 1, which the check above
+        # enforces. 1.0 * g is g, so these are the bits of
+        # where(gh > 0, g, g * alpha).
         gh = _affine(xhat, gdata, bdata)
-        if alpha:
-            mask = gh > 0
-            np.multiply(g, alpha, out=gh)
-            np.copyto(gh, g, where=mask)
-            del mask  # before _bn_grads allocates its map
-        else:
-            # g times the mask as 1.0 and 0.0: the bits of g * (gh > 0)
-            np.greater(gh, 0.0, out=gh)
-            gh *= g
+        np.greater(gh, 0.0, out=gh)
+        np.maximum(gh, alpha, out=gh)
+        gh *= g
         return _bn_grads(gh, xhat, ivar, gdata, True, out=gh)
 
     return _record(h, (x, gamma, beta), fn, "batchnorm_act")
@@ -852,16 +842,15 @@ def numeric_gradient(loss_fn, tensor, eps=1e-5):
     """
     base = tensor.data
     grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
+    # indexed in place: reshape would step a copy of a non-contiguous array
+    for i in np.ndindex(base.shape):
+        orig = base[i]
+        base[i] = orig + eps
         hi = _scalar(loss_fn())
-        flat[i] = orig - eps
+        base[i] = orig - eps
         lo = _scalar(loss_fn())
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
+        base[i] = orig
+        grad[i] = (hi - lo) / (2.0 * eps)
     return grad
 
 
@@ -880,6 +869,8 @@ def assert_gradients_match(loss_fn, tensors, eps=1e-5, rtol=1e-4, atol=1e-7, nam
     """
     if names is None:
         names = [f"tensor{i}" for i in range(len(tensors))]
+    elif len(names) != len(tensors):
+        raise ValueError(f"{len(names)} names for {len(tensors)} tensors")
     for t in tensors:
         t.grad = None
     loss = loss_fn()

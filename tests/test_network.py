@@ -99,10 +99,12 @@ class TestCompositeLayer:
         assert set(store.params) == {"c.conv.weight", "c.conv.bias", "c.bn.gamma", "c.bn.beta"}
         assert set(store.buffers) == {"c.bn.running_mean", "c.bn.running_var"}
 
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError, match="activation"):
-            CompositeLayer(ParamStore(), "c", 1, 1, (3, 3), rng(), np.float64,
-                           activation="tanh")
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_slope_outside_unit_interval_rejected(self, alpha, training):
+        layer = CompositeLayer(ParamStore(), "c", 1, 1, (3, 3), rng(), np.float64, alpha=alpha)
+        with pytest.raises(ValueError, match="0 <= alpha < 1"):
+            layer.forward(Tensor(np.ones((1, 1, 2, 2))), training)
 
 
 def randomize_bn(store, seed):
@@ -149,22 +151,22 @@ class TestFoldedInference:
         x = np.random.default_rng(32).random((1, 1, 512, 128))
         self.assert_masks_match_unfolded(model, x, monkeypatch)
 
-    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("alpha", [0.0, LEAKY_ALPHA], ids=["relu", "leaky_relu"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_layer_writes_into_out(self, activation, dtype):
+    def test_layer_writes_into_out(self, alpha, dtype):
         store = ParamStore()
-        layer = CompositeLayer(store, "c", 3, 4, (3, 3), rng(33), dtype, activation=activation)
+        layer = CompositeLayer(store, "c", 3, 4, (3, 3), rng(33), dtype, alpha=alpha)
         randomize_bn(store, 33)
         x = Tensor(np.random.default_rng(34).normal(size=(2, 3, 8, 6)).astype(dtype))
         h = T.batchnorm(T.conv2d(x, layer.weight, layer.bias),
                         layer.gamma, layer.beta, layer.state, False)
-        want = T.relu(h) if activation == "relu" else T.leaky_relu(h, LEAKY_ALPHA)
+        want = T.leaky_relu(h, alpha)
         buf = np.full((2, 7, 8, 6), np.nan, dtype=dtype)
         got = layer.forward(x, False, out=buf[:, 2:6])
         alone = layer.forward(x, False)
         assert got.data.base is buf and got.dtype == dtype and alone.dtype == dtype
         assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 6:]).all()
-        assert (want.data < 0).any() == (activation == "leaky_relu")
+        assert (want.data < 0).any() == (alpha > 0)
         rtol = self.FOLD_RTOL if dtype == np.float64 else 1e-5
         np.testing.assert_allclose(got.data, want.data, rtol=rtol, atol=rtol)
         np.testing.assert_array_equal(alone.data, got.data)
@@ -272,11 +274,11 @@ class TestDenseBlockBuffer:
     """The shared feature buffer must reproduce the concatenating block exactly."""
 
     @staticmethod
-    def run(forward, shapes, layers, activation, training):
+    def run(forward, shapes, layers, alpha, training):
         store = ParamStore()
         c_in = sum(shape[-3] for shape in shapes)
         block = DenseBlock(store, "b", c_in, 3, layers, (3, 3), rng(21),
-                           np.float64, activation=activation)
+                           np.float64, alpha=alpha)
         gen = np.random.default_rng(22)
         parts = [Tensor(gen.normal(size=shape), requires_grad=True) for shape in shapes]
         out = forward(block, parts, training)
@@ -290,11 +292,11 @@ class TestDenseBlockBuffer:
         [(2, 2, 8, 6)], [(2, 2, 8, 6), (2, 3, 8, 6)],
     ], ids=["4d", "4d-two-parts"])
     @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("alpha", [0.0, LEAKY_ALPHA], ids=["relu", "leaky_relu"])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
-    def test_matches_explicit_concatenation(self, shapes, layers, activation, training):
-        got = self.run(DenseBlock.forward, shapes, layers, activation, training)
-        want = self.run(concat_chain, shapes, layers, activation, training)
+    def test_matches_explicit_concatenation(self, shapes, layers, alpha, training):
+        got = self.run(DenseBlock.forward, shapes, layers, alpha, training)
+        want = self.run(concat_chain, shapes, layers, alpha, training)
         np.testing.assert_array_equal(got[0], want[0])
         assert len(got[1]) == len(want[1])
         for g, w in zip(got[1], want[1]):

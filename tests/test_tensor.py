@@ -335,10 +335,7 @@ FROZEN_INPUTS = [(name, i) for name, (shapes, _) in sorted(FLOAT32_OPS.items())
 
 
 class TestFrozenInput:
-    """Every VJP returns a gradient for each input, and the sweep drops a frozen one's.
-
-    The one gradient a VJP skips is conv2d's dx of an untracked input.
-    """
+    """Every VJP returns a gradient for each input, and the sweep drops a frozen one's."""
 
     @staticmethod
     def run(name, frozen):
@@ -356,10 +353,7 @@ class TestFrozenInput:
         grads = out._node.backward(np.ones_like(out.data))
         assert len(grads) == len(leaves)
         for i, (t, g) in enumerate(zip(leaves, grads)):
-            if name == "conv2d" and i == frozen == 0:
-                assert g is None
-            else:
-                assert isinstance(g, np.ndarray) and g.shape == t.shape, i
+            assert isinstance(g, np.ndarray) and g.shape == t.shape, i
         (out * proj).sum().backward()
         want, out, proj = self.run(name, None)
         (out * proj).sum().backward()
@@ -973,6 +967,41 @@ class TestBatchNormAct:
                 assert g.dtype == dtype, name
                 np.testing.assert_array_equal(g, w, err_msg=name)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01], ids=["relu", "leaky_relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_at_a_zero_channel_and_special_gradients(self, alpha, dtype):
+        # channels 1 and 3 have gamma = beta = 0, so their map is exactly 0;
+        # the output gradient holds signed zeros in channels 0 and 1 and
+        # +-inf and NaN in channels 2 and 3. tobytes tells -0.0 from 0.0 and
+        # one NaN from another, where assert_array_equal does not.
+        def run(fused):
+            gen = np.random.default_rng(46)
+            x = Tensor((gen.standard_normal((2, 4, 4, 5)) * 2.0 + 1.0).astype(dtype),
+                       requires_grad=True)
+            gamma = Tensor(np.array([1.2, 0.0, 0.8, 0.0], dtype), requires_grad=True)
+            beta = Tensor(np.array([0.3, 0.0, -0.2, 0.0], dtype), requires_grad=True)
+            proj = gen.standard_normal((2, 4, 4, 5)).astype(dtype)
+            proj[:, :2, ::2] = 0.0
+            proj[:, :2, 1::2, ::2] = -0.0
+            proj[:, 2:, 0] = np.inf
+            proj[:, 2:, 1] = -np.inf
+            proj[:, 2:, 2, :3] = np.nan
+            state = RunningStats(4, dtype=dtype)
+            if fused:
+                y = batchnorm_act(x, gamma, beta, state, alpha)
+            else:
+                y = leaky_relu(batchnorm(x, gamma, beta, state, True), alpha)
+            with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+                (y * proj).sum().backward()
+            return [y.data, state.mean, state.var, x.grad, gamma.grad, beta.grad]
+
+        got, want = run(True), run(False)
+        assert (want[0][:, 1::2] == 0).all() and np.isnan(want[3][:, 2:]).all()
+        names = ["out", "running_mean", "running_var", "x", "gamma", "beta"]
+        for name, g, w in zip(names, got, want):
+            assert g.dtype == w.dtype == dtype, name
+            assert g.tobytes() == w.tobytes(), name
+
     @pytest.mark.parametrize("alpha", [0.0, 0.2], ids=["relu", "leaky_relu"])
     def test_gradients_match_finite_differences(self, alpha):
         rng = np.random.default_rng(44)
@@ -1273,3 +1302,22 @@ class TestNumericGradientHarness:
 
         g = numeric_gradient(loss, x)
         np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
+
+    def test_non_contiguous_leaf(self):
+        # the steps must reach the tensor's own array, not a flat copy of it
+        def numeric(data):
+            x = Tensor(data, requires_grad=True)
+            return numeric_gradient(lambda: (x * x).sum(), x)
+
+        data = np.arange(6.0).reshape(2, 3).T
+        assert not data.flags.c_contiguous
+        got = numeric(data)
+        # the sums run in another order, so the differences agree to roundoff
+        np.testing.assert_allclose(got, numeric(data.copy()), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got, 2.0 * data, rtol=0, atol=1e-8)
+
+    def test_names_must_match_tensors(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="1 names for 2 tensors"):
+            assert_gradients_match(lambda: (a * b).sum(), [a, b], names=["a"])
