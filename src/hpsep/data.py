@@ -13,8 +13,19 @@ rolloff, envelope, onset rate, burst decay and high-band emphasis.
 
 Randomness comes from PCG64 seeded with SeedSequence([corpus_seed,
 track_seed]) and is drawn exclusively through ``Generator.random`` with
-inverse-transform shaping, so a (seed, track_seed) pair yields the same
-track on any platform.
+inverse-transform shaping, so a (seed, track_seed) pair draws the same
+numbers on any platform, and one installation renders the same track from
+them every time.
+
+A voice is not rendered one sine per sample per partial. The track is
+cut into blocks of B = isqrt(n) samples and the angle-sum identity splits
+each partial into a per-block and a per-offset factor, so a voice is one
+matrix product and takes about 4 P sqrt(n) sines in place of P n (see
+``_harmonic_stem``). Its error is that of one sine per sample: both come
+from rounding the float64 argument ``w t + phi``. Against an
+extended-precision evaluation of the same draws, either way is at most
+about 1e-12 off at 1.4 s, 1.2e-11 at 10 s and 5e-11 at 60 s, far below
+the float32 step of a written sample.
 
 On disk a dataset is one directory per track, the layout of a decoded
 MUSDB18 corpus::
@@ -116,21 +127,46 @@ def _uniform(rng, lo, hi):
 
 
 def _harmonic_stem(spec, rng, n):
+    """Sum of ``spec.voices`` enveloped partial stacks, ``n`` samples long.
+
+    Voice v's tone is ``sum_k g_k sin(w_k t + phi_k)`` with ``w_k = 2 pi k f0``
+    and ``g_k = k ** -PARTIAL_ROLLOFF * gain``. It is rendered in blocks of
+    B = isqrt(n) samples: at block start ``t_b`` and offset ``tau``,
+
+        sin(w (t_b + tau) + phi) = sin(w tau) cos(w t_b + phi) + cos(w tau) sin(w t_b + phi),
+
+    so the tone is one product of a (blocks, 2P) coefficient matrix and a
+    (2P, B) sine/cosine basis, trimmed to ``n``. Voices add into one block
+    matrix, so memory does not grow with their number.
+    """
     t = np.arange(n) / SAMPLE_RATE
     duration = n / SAMPLE_RATE
-    env = np.clip(np.minimum(t / ATTACK_S, (duration - t) / RELEASE_S), 0.0, 1.0)
-    out = np.zeros(n)
+    env = t / ATTACK_S
+    release = np.subtract(duration, t, out=t)
+    release /= RELEASE_S
+    np.clip(np.minimum(env, release, out=env), 0.0, 1.0, out=env)
+    del t, release  # one array under both names
+
+    block = max(1, math.isqrt(n))
+    blocks = -(-n // block)
+    tau = np.arange(block) / SAMPLE_RATE
+    t_b = np.arange(0, blocks * block, block) / SAMPLE_RATE  # equals t[b * block]
+    k = np.arange(1, spec.partials + 1)
+    rolloff = k ** -PARTIAL_ROLLOFF
+    tones = np.zeros((blocks, block))
     for _ in range(spec.voices):
         # log-uniform fundamental keeps low and high registers equally likely
         f0 = F0_MIN_HZ * (F0_MAX_HZ / F0_MIN_HZ) ** rng.random()
-        tone = np.zeros(n)
-        for k in range(1, spec.partials + 1):
-            phase = 2.0 * math.pi * rng.random()
-            tone += math.pow(k, -PARTIAL_ROLLOFF) * np.sin(
-                2.0 * math.pi * k * f0 * t + phase
-            )
-        out += _uniform(rng, 0.5, 1.0) * tone * env
-    return out / spec.voices
+        phase = 2.0 * math.pi * rng.random(spec.partials)
+        g = rolloff * _uniform(rng, 0.5, 1.0)
+        w = 2.0 * math.pi * k * f0
+        psi = np.multiply.outer(t_b, w) + phase
+        coef = np.concatenate([g * np.cos(psi), g * np.sin(psi)], axis=1)
+        wtau = np.multiply.outer(w, tau)
+        tones += coef @ np.concatenate([np.sin(wtau), np.cos(wtau)])
+    env *= tones.ravel()[:n]
+    env /= spec.voices
+    return env
 
 
 def _percussive_stem(rng, n):

@@ -773,13 +773,11 @@ def relu(x, out=None):
 
 
 def sigmoid(x):
-    # split by sign to avoid overflow in exp
+    # exp(-|x|) never overflows; 1 / (1 + e) for x >= 0 and e / (1 + e) below
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0, e)
+    out /= 1.0 + e
 
     def fn(g):
         return (g * out * (1.0 - out),)

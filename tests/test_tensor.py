@@ -1118,6 +1118,22 @@ class TestElementwise:
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_branch_formula(self, rng, dtype):
+        # the sign-split formula: 1 / (1 + exp(-x)) for x >= 0, e^x / (1 + e^x) below
+        edges = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-30, -1e-30, np.nan]
+        d = np.concatenate([edges, 40.0 * rng.standard_normal(4096)]).astype(dtype)
+        want = np.empty_like(d)
+        pos = d >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ez = np.exp(d[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        got = sigmoid(Tensor(d)).data
+        assert got.dtype == dtype
+        nan = np.isnan(d)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_log1p_domain_checked(self):
         with pytest.raises(ValueError):
             log1p(tens([-1.5]))

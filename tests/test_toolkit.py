@@ -189,6 +189,55 @@ class TestSynthesis:
             along_freq = median_filter(power, size=(17, 1), mode="reflect").sum()
             assert sign * (along_time - along_freq) > 0.0, name
 
+    @staticmethod
+    def per_sample_stems(spec, track_seed):
+        # one sine per sample per partial, drawing f0, the phases and the
+        # gain of each voice in turn, then the percussive stem's draws
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, track_seed])))
+        n = int(round(spec.duration_s * 44100))
+        t = np.arange(n) / 44100
+        env = np.clip(np.minimum(t / data.ATTACK_S, (n / 44100 - t) / data.RELEASE_S), 0.0, 1.0)
+        harm = np.zeros(n)
+        for _ in range(spec.voices):
+            f0 = data.F0_MIN_HZ * (data.F0_MAX_HZ / data.F0_MIN_HZ) ** rng.random()
+            tone = np.zeros(n)
+            for k in range(1, spec.partials + 1):
+                phase = 2.0 * math.pi * rng.random()
+                tone += k ** -data.PARTIAL_ROLLOFF * np.sin(2.0 * math.pi * k * f0 * t + phase)
+            harm += (0.5 + 0.5 * rng.random()) * tone * env
+        harm /= spec.voices
+        perc = data._percussive_stem(rng, n)
+        c = 0.9 * (1.0 - 1e-9) / np.max(np.abs(harm + perc))
+        return harm * c, perc * c
+
+    # 1024 samples is a whole number of 32-sample blocks; 61,740 and 441,000
+    # samples end in a partial block
+    @pytest.mark.parametrize("duration_s", [1024 / 44100, 1.4, 10.0])
+    def test_stems_match_per_sample_sines(self, duration_s):
+        for voices, partials in ((1, 1), (3, 8), (2, 33)):
+            spec = SynthSpec(seed=5, duration_s=duration_s, voices=voices, partials=partials)
+            track = synth_track(spec, 2)
+            harm, perc = self.per_sample_stems(spec, 2)
+            assert len(track.mixture) == len(harm)
+            np.testing.assert_allclose(track.stems["harmonic_rest"], harm, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(track.stems["drums"], perc, rtol=0, atol=1e-9)
+
+    def test_peak_memory_is_flat_in_voices(self):
+        # each voice renders into one shared block matrix: 32 voices peak
+        # where one does, at no more than 5.5 track-length float64 arrays
+        synth_track(quick_spec(), 0)  # one-off allocations happen untraced
+        peaks = {}
+        for voices in (1, 32):
+            spec = SynthSpec(duration_s=10.0, voices=voices)
+            tracemalloc.start()
+            try:
+                synth_track(spec, 0)
+                peaks[voices] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[32] - peaks[1]) <= 0.01 * peaks[1], peaks
+        assert max(peaks.values()) <= 5.5 * 441000 * 8, peaks
+
     def test_track_validation(self):
         good = synth_track(quick_spec(), 0)
         with pytest.raises(ValueError, match="not the sum"):
