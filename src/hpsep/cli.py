@@ -64,6 +64,10 @@ def _split_file(args, split):
     _check_writable(args.out_harm)
     if Path(args.out_perc).resolve() == Path(args.out_harm).resolve():
         raise ValueError(f"--out-perc and --out-harm are the same file: {args.out_perc}")
+    infile = Path(args.infile).resolve()
+    for flag, out in (("--out-perc", args.out_perc), ("--out-harm", args.out_harm)):
+        if Path(out).resolve() == infile:
+            raise ValueError(f"{flag} is the input file: {out}")
     samples, _ = read_wav(args.infile)
     perc, harm = split(samples)
     harm = wav_samples(args.out_harm, harm)  # refused here, no percussive file is left

@@ -30,7 +30,7 @@ import csv
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -223,8 +223,8 @@ class TrainResult:
     checkpoint_path: str
     metrics_path: str
     stopped_early: bool
-    train_track_indices: list = field(default_factory=list)
-    val_track_indices: list = field(default_factory=list)
+    train_track_indices: list
+    val_track_indices: list
 
 
 def _split_tiles(tracks, indices):

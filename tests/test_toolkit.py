@@ -224,7 +224,8 @@ class TestSynthesis:
 
     def test_peak_memory_is_flat_in_voices(self):
         # each voice renders into one shared block matrix: 32 voices peak
-        # where one does, at no more than 5.5 track-length float64 arrays
+        # where one does, at no more than 3.5 track-length float64 arrays
+        # (the returned track itself holds 3)
         synth_track(quick_spec(), 0)  # one-off allocations happen untraced
         peaks = {}
         for voices in (1, 32):
@@ -236,15 +237,15 @@ class TestSynthesis:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[32] - peaks[1]) <= 0.01 * peaks[1], peaks
-        assert max(peaks.values()) <= 5.5 * 441000 * 8, peaks
+        assert max(peaks.values()) <= 3.5 * 441000 * 8, peaks
 
-    def test_track_validation(self):
+    def test_track_mixture_is_the_stem_sum_by_construction(self):
         good = synth_track(quick_spec(), 0)
-        with pytest.raises(ValueError, match="not the sum"):
-            Track(id="bad", mixture=good.mixture * 1.5, stems=good.stems)
-        with pytest.raises(ValueError, match="stems"):
-            Track(id="bad", mixture=good.mixture,
-                  stems={"drums": good.stems["drums"]})
+        stems = {"drums": good.stems["drums"], "harmonic_rest": good.stems["harmonic_rest"] * 1.5}
+        track = Track(id="made", stems=stems)
+        assert track.mixture.tobytes() == (stems["drums"] + stems["harmonic_rest"]).tobytes()
+        with pytest.raises(TypeError, match="mixture"):
+            Track(id="bad", mixture=good.mixture, stems=good.stems)
 
 
 class TestDatasetIO:
@@ -260,6 +261,11 @@ class TestDatasetIO:
             # float32 storage quantizes the float64 stems
             np.testing.assert_allclose(mixture, track.mixture, atol=1e-6)
             np.testing.assert_allclose(drums, track.stems["drums"], atol=1e-6)
+            # and the files hold exactly the float32 rounding of each array
+            _, wav_mixture = wavfile.read(tmp_path / "ds" / tid / "mixture.wav")
+            _, wav_drums = wavfile.read(tmp_path / "ds" / tid / "drums.wav")
+            assert wav_mixture.tobytes() == track.mixture.astype(np.float32).tobytes()
+            assert wav_drums.tobytes() == track.stems["drums"].astype(np.float32).tobytes()
 
     def test_tracks_are_sorted_directories_holding_a_mixture(self, tmp_path):
         for tid in ("zeta", "alpha", "mid"):  # created out of order
@@ -726,7 +732,10 @@ class TestCli:
         ("p.wav", "nodir/h.wav", "cannot write {d}/nodir/h.wav: directory {d}/nodir does not exist"),
         ("outdir", "h.wav", "cannot write {d}/outdir: it is a directory"),
         ("same.wav", "same.wav", "--out-perc and --out-harm are the same file: {d}/same.wav"),
-    ], ids=["missing-directory", "is-directory", "same-file"])
+        # the input, named through another spelling of its path
+        ("outdir/../mix.wav", "h.wav", "--out-perc is the input file: {d}/outdir/../mix.wav"),
+        ("p.wav", "outdir/../mix.wav", "--out-harm is the input file: {d}/outdir/../mix.wav"),
+    ], ids=["missing-directory", "is-directory", "same-file", "input-as-perc", "input-as-harm"])
     def test_unwritable_outputs_refused_before_any_work(
             self, command, out_p, out_h, message, tmp_path, monkeypatch, capsys):
         def no_split(*args):
@@ -739,9 +748,11 @@ class TestCli:
         (tmp_path / "outdir").mkdir()
         args = self.split_args(command, tmp_path, mix, tmp_path / out_p, tmp_path / out_h)
         before = sorted(tmp_path.rglob("*"))
+        mix_bytes = mix.read_bytes()
         assert cli.main(args) == 1
         assert f"hpsep: error: {message.format(d=tmp_path)}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+        assert mix.read_bytes() == mix_bytes
 
     def test_baseline_median_lengths_are_not_options(self, tmp_path, capsys):
         mix = tmp_path / "mix.wav"
