@@ -35,8 +35,10 @@ gradients alike.
 ``conv2d`` follows a narrow-side rule: its forward pass, input gradient
 and weight gradient each shift whichever of the input or output has fewer
 channels, never the wider one. The kh*kw shifted copies are built for one
-band of ceil(H / (kh*kw)) rows at a time, so no product holds more than
-about one extra copy of the narrow side beside its zero-padded map. With
+band of rows at a time: ceil(H / (kh*kw)) rows, or as many as fill
+``BAND_BYTES`` (4 MiB) if that is more. So no product holds more than about
+one extra copy of the narrow side, or 4 MiB, beside its zero-padded map,
+and a coarse map is not cut into as many bands as a fine one. With
 C_out < C_in the forward pass is kn2row (GEMMs into per-tap planes, then
 a shift-add; Vasudevan et al. 2017, arXiv:1704.04428), which works band
 by band as well (Anderson et al. 2017, arXiv:1709.03395).
@@ -313,12 +315,20 @@ def _record(data, parents, backward_fn, op):
 # -- spatial ops ---------------------------------------------------------
 
 
-def _bands(h, taps):
-    """Row ranges [r0, r1) that cover h rows, ceil(h / taps) rows each.
+# The least a band's tap stack or per-tap planes may hold, in bytes. Below
+# about this size the per-tap numpy calls, not the GEMMs, set a band's
+# time, as they do on every map coarser than 512x128.
+BAND_BYTES = 2**22
 
-    A band's tap stack then holds about one unshifted copy of its map.
+
+def _bands(h, taps, row_bytes):
+    """Row ranges [r0, r1) that cover h rows: ceil(h / taps) rows each, or
+    as many as fill BAND_BYTES at row_bytes a row, whichever is more.
+
+    A band's tap stack or per-tap planes then hold about one unshifted
+    copy of the narrow map or BAND_BYTES, whichever is more.
     """
-    step = -(-h // taps)
+    step = max(-(-h // taps), BAND_BYTES // row_bytes)
     return [(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
 
 
@@ -396,9 +406,9 @@ def _shift_add(acc, planes, wd, kh, kw, r0):
 
 def _tap_stacks(xb, kh, kw):
     """Yield (r0, r1, stack): ``_shifted_columns`` of xb, one band at a time."""
-    wd = xb.shape[3]
+    n, c, h, wd = xb.shape
     xp = _flat_padded(xb, kh, kw)
-    for r0, r1 in _bands(xb.shape[2], kh * kw):
+    for r0, r1 in _bands(h, kh * kw, n * c * kh * kw * wd * xb.itemsize):
         yield r0, r1, _shifted_columns(xp, wd, kh, kw, r0, r1)
 
 
@@ -406,14 +416,14 @@ def _gemm_shift_add(a, xb, kh, kw):
     """``_shift_add`` of the per-tap planes ``a @ xb``, one band of rows at a time.
 
     a: (C*kh*kw, C_x) with rows ordered (c, i, j). Bands run bottom-up, so
-    the sum is bit-identical to one whole-map pass. Returns (N, C, H, W), a
-    view of the flat padded accumulator.
+    the sum adds every element's taps in the order one whole-map pass does.
+    Returns (N, C, H, W), a view of the flat padded accumulator.
     """
     n, _, h, wd = xb.shape
     taps = kh * kw
     c = a.shape[0] // taps
     acc = np.zeros((n, c, (h + kh - 1) * wd + kw - 1), dtype=np.result_type(a, xb))
-    for r0, r1 in reversed(_bands(h, taps)):
+    for r0, r1 in reversed(_bands(h, taps, n * c * taps * wd * acc.itemsize)):
         _shift_add(acc, a @ _rows(xb, r0, r1), wd, kh, kw, r0)
     start = (kh // 2) * wd + kw // 2
     return acc[:, :, start : start + h * wd].reshape(n, c, h, wd)
@@ -436,14 +446,18 @@ def conv2d(x, weight, bias):
     - C_in <= C_out: forward is im2col over the input. Backward shifts the
       input for dw and computes dx kn2row-style, GEMM then shift-add.
 
-    Every stack is built for one band of ceil(H / (kh*kw)) output rows at
-    a time, so no product holds more than about one extra copy of the
-    narrow side, plus its zero-padded map. Stacked bands GEMM straight
-    into their rows of the output or dx; shift-add bands run bottom-up.
-    The padded maps and accumulators are flat (see the module docstring):
-    every tap is one contiguous slice, with the columns that wrap into a
-    neighbouring row zeroed. The output and dx are bit-identical to
-    whole-map stacks on 2-D padded maps; dw is summed over bands, which
+    Every stack is built for one band of output rows at a time (see
+    ``_bands``): ceil(H / (kh*kw)) rows, or as many as fill ``BAND_BYTES``
+    if that is more. So no product holds more than about one extra copy of
+    the narrow side, or ``BAND_BYTES``, plus its zero-padded map. Stacked
+    bands GEMM straight into their rows of the output or dx; shift-add
+    bands run bottom-up. The padded maps and accumulators are flat (see the
+    module docstring): every tap is one contiguous slice, with the columns
+    that wrap into a neighbouring row zeroed. In float64 the output and dx
+    are bit-identical to whole-map stacks on 2-D padded maps. In float32
+    they are not: OpenBLAS rounds a GEMM according to its column count, so
+    a band's products can differ from the whole map's in the last bits
+    (within 1e-6 of the largest value). dw is summed over bands, which
     reorders its float sum. A kn2row output or dx is a view of its flat
     accumulator, so its channel stride is the padded length, not H*W.
     """

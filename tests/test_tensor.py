@@ -668,8 +668,12 @@ BAND_CASES = [
 
 
 class TestConv2dBands:
+    # BAND_BYTES 0 gives every band ceil(H / (kh*kw)) rows, so these tiny maps
+    # are cut into bands; at the real floor each is one band.
+    @pytest.mark.parametrize("band_bytes", [0, T.BAND_BYTES])
     @pytest.mark.parametrize("xshape, wshape", BAND_CASES)
-    def test_matches_whole_map_stacks(self, rng, xshape, wshape):
+    def test_matches_whole_map_stacks(self, rng, monkeypatch, xshape, wshape, band_bytes):
+        monkeypatch.setattr(T, "BAND_BYTES", band_bytes)
         x, w, b, proj = conv_case(rng, xshape, wshape)
         out = conv2d(x, w, b)
         (out * proj).sum().backward()
@@ -682,10 +686,63 @@ class TestConv2dBands:
     @pytest.mark.parametrize("h, taps, rows", [(5, 13, [1] * 5), (15, 13, [2] * 7 + [1]),
                                                (17, 9, [2] * 8 + [1]), (512, 13, [40] * 12 + [32]),
                                                (6, 1, [6])])
-    def test_band_rows(self, h, taps, rows):
-        bands = T._bands(h, taps)
+    def test_band_rows(self, monkeypatch, h, taps, rows):
+        monkeypatch.setattr(T, "BAND_BYTES", 0)
+        bands = T._bands(h, taps, 1)
         assert [r1 - r0 for r0, r1 in bands] == rows
         assert [r0 for r0, _ in bands] == [0] + [r1 for _, r1 in bands[:-1]]
+
+    # row_bytes is n * c_narrow * taps * W * itemsize, here for 10 narrow
+    # channels and a 13x1 kernel
+    @pytest.mark.parametrize("h, row_bytes, rows", [
+        # float32 512x128: 66,560 bytes a row, 63 rows fill 4 MiB
+        (512, 1 * 10 * 13 * 128 * 4, [63] * 8 + [8]),
+        # float32 32x8: the whole map is one band
+        (32, 1 * 10 * 13 * 8 * 4, [32]),
+        # batch-8 float64 and batch-1 float64 512x128 keep ceil(512 / 13) rows
+        (512, 8 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
+        (512, 1 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
+    ])
+    def test_band_floor(self, h, row_bytes, rows):
+        assert T.BAND_BYTES == 2**22
+        bands = T._bands(h, 13, row_bytes)
+        assert [r1 - r0 for r0, r1 in bands] == rows
+        assert [r0 for r0, _ in bands] == [0] + [r1 for _, r1 in bands[:-1]]
+
+    # In float32, OpenBLAS rounds a band's GEMM by its column count, so
+    # banded products differ from one whole-map band in the last bits.
+    @pytest.mark.parametrize("wshape", [(10, 60, 13, 1), (60, 10, 13, 1)])
+    def test_float32_bands_match_one_band(self, monkeypatch, wshape):
+        rng = np.random.default_rng(3)
+        xshape = (1, wshape[1], 512, 128)
+
+        def run(band_bytes):
+            monkeypatch.setattr(T, "BAND_BYTES", band_bytes)
+            x, w, b, proj = conv_case(rng, xshape, wshape, dtype=np.float32)
+            out = conv2d(x, w, b)
+            (out * proj).sum().backward()
+            return out.data, x.grad
+
+        state = rng.bit_generator.state
+        whole = run(2**62)
+        for band_bytes in (0, T.BAND_BYTES):
+            rng.bit_generator.state = state
+            for got, want in zip(run(band_bytes), whole):
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), band_bytes
+
+    def test_float32_inference_bands(self, monkeypatch):
+        # a float32 default-config forward of one tile built 1,578 bands when
+        # every map, down to 32x8, was cut into ceil(H / (kh*kw)) rows
+        model = MaskSeparator(NetworkConfig(), seed=0, dtype=np.float32)
+        calls = Counter()
+        for name in ("_shift_add", "_shifted_columns"):
+            def counted(*args, _f=getattr(T, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(T, name, counted)
+        x = np.random.default_rng(0).random((1, 1, 512, 128), dtype=np.float32)
+        model.forward(x, training=False)
+        assert 0 < sum(calls.values()) <= 400, calls
 
 
 class TestConv2dBandMemory:
@@ -695,18 +752,21 @@ class TestConv2dBandMemory:
     # 10 channels by 13 taps by 40 rows. The slack is less than one band.
     # The padded map is flat: (h + kh - 1) * wd + kw - 1 values a channel.
     XSHAPE, WSHAPE = (1, 60, 512, 128), (10, 60, 13, 1)
+    DTYPE = np.float64
     SLACK = 2**22
 
     def operands(self, grad):
         rng = np.random.default_rng(0)
-        return tuple(Tensor(rng.standard_normal(s), requires_grad=grad)
+        return tuple(Tensor(rng.standard_normal(s).astype(self.DTYPE), requires_grad=grad)
                      for s in (self.XSHAPE, self.WSHAPE, self.WSHAPE[:1]))
 
     def narrow_sizes(self):
         n, _, h, wd = self.XSHAPE
         c, _, kh, kw = self.WSHAPE
-        padded = n * c * ((h + kh - 1) * wd + kw - 1) * 8
-        band = n * c * kh * kw * -(-h // (kh * kw)) * wd * 8
+        size = np.dtype(self.DTYPE).itemsize
+        padded = n * c * ((h + kh - 1) * wd + kw - 1) * size
+        row = n * c * kh * kw * wd * size
+        band = max(-(-h // (kh * kw)) * row, T.BAND_BYTES + row)
         return padded, band
 
     def test_forward_holds_one_band(self):
@@ -724,7 +784,7 @@ class TestConv2dBandMemory:
     def test_backward_holds_one_band(self):
         x, w, b = self.operands(grad=True)
         out = conv2d(x, w, b)
-        g = np.random.default_rng(1).standard_normal(out.shape)
+        g = np.random.default_rng(1).standard_normal(out.shape).astype(self.DTYPE)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -747,6 +807,12 @@ class TestConv2dBandMemoryWide(TestConv2dBandMemory):
 class TestConv2dBandMemorySquare(TestConv2dBandMemory):
     # 3x3: bands of 57 rows, 9 taps
     XSHAPE, WSHAPE = (1, 60, 512, 128), (10, 60, 3, 3)
+
+
+class TestConv2dBandMemoryFloat32(TestConv2dBandMemory):
+    # float32 rows are half as large, so the byte floor sets the band: 63
+    # rows, at most BAND_BYTES, where ceil(512 / 13) rows hold 2.7 MB
+    DTYPE = np.float32
 
 
 class TestMaxpool2:
