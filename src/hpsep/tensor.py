@@ -315,9 +315,11 @@ def _record(data, parents, backward_fn, op):
 # -- spatial ops ---------------------------------------------------------
 
 
-# The least a band's tap stack or per-tap planes may hold, in bytes. Below
-# about this size the per-tap numpy calls, not the GEMMs, set a band's
-# time, as they do on every map coarser than 512x128.
+# The least a band's tap stack or per-tap planes may hold, in bytes. In
+# smaller bands the per-tap numpy calls, not the GEMMs, set a band's time;
+# without a floor the coarse maps, down to 32x8, would be cut into as many
+# bands as 512x128. A float32 default-model forward ran faster at 4 MiB
+# than at 2 or 8 MiB.
 BAND_BYTES = 2**22
 
 

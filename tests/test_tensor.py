@@ -683,29 +683,23 @@ class TestConv2dBands:
         np.testing.assert_array_equal(b.grad, want[3])
         assert np.max(np.abs(w.grad - want[2])) <= DW_RTOL * np.max(np.abs(want[2]))
 
-    @pytest.mark.parametrize("h, taps, rows", [(5, 13, [1] * 5), (15, 13, [2] * 7 + [1]),
-                                               (17, 9, [2] * 8 + [1]), (512, 13, [40] * 12 + [32]),
-                                               (6, 1, [6])])
-    def test_band_rows(self, monkeypatch, h, taps, rows):
-        monkeypatch.setattr(T, "BAND_BYTES", 0)
-        bands = T._bands(h, taps, 1)
-        assert [r1 - r0 for r0, r1 in bands] == rows
-        assert [r0 for r0, _ in bands] == [0] + [r1 for _, r1 in bands[:-1]]
-
-    # row_bytes is n * c_narrow * taps * W * itemsize, here for 10 narrow
-    # channels and a 13x1 kernel
-    @pytest.mark.parametrize("h, row_bytes, rows", [
-        # float32 512x128: 66,560 bytes a row, 63 rows fill 4 MiB
-        (512, 1 * 10 * 13 * 128 * 4, [63] * 8 + [8]),
+    # band_bytes 0 cuts every map into ceil(h / taps) rows. At the real
+    # floor, row_bytes is n * c_narrow * taps * W * itemsize, here for 10
+    # narrow channels and a 13x1 kernel.
+    @pytest.mark.parametrize("band_bytes, h, taps, row_bytes, rows", [
+        (0, 5, 13, 1, [1] * 5), (0, 15, 13, 1, [2] * 7 + [1]), (0, 17, 9, 1, [2] * 8 + [1]),
+        (0, 512, 13, 1, [40] * 12 + [32]), (0, 6, 1, 1, [6]),
+        # float32 512x128: 66,560 bytes a row, so 63 rows fill 4 MiB
+        (T.BAND_BYTES, 512, 13, 1 * 10 * 13 * 128 * 4, [63] * 8 + [8]),
         # float32 32x8: the whole map is one band
-        (32, 1 * 10 * 13 * 8 * 4, [32]),
-        # batch-8 float64 and batch-1 float64 512x128 keep ceil(512 / 13) rows
-        (512, 8 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
-        (512, 1 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
+        (T.BAND_BYTES, 32, 13, 1 * 10 * 13 * 8 * 4, [32]),
+        # batch-8 and batch-1 float64 512x128 keep ceil(512 / 13) rows
+        (T.BAND_BYTES, 512, 13, 8 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
+        (T.BAND_BYTES, 512, 13, 1 * 10 * 13 * 128 * 8, [40] * 12 + [32]),
     ])
-    def test_band_floor(self, h, row_bytes, rows):
-        assert T.BAND_BYTES == 2**22
-        bands = T._bands(h, 13, row_bytes)
+    def test_band_rows(self, monkeypatch, band_bytes, h, taps, row_bytes, rows):
+        monkeypatch.setattr(T, "BAND_BYTES", band_bytes)
+        bands = T._bands(h, taps, row_bytes)
         assert [r1 - r0 for r0, r1 in bands] == rows
         assert [r0 for r0, _ in bands] == [0] + [r1 for _, r1 in bands[:-1]]
 
@@ -713,26 +707,23 @@ class TestConv2dBands:
     # banded products differ from one whole-map band in the last bits.
     @pytest.mark.parametrize("wshape", [(10, 60, 13, 1), (60, 10, 13, 1)])
     def test_float32_bands_match_one_band(self, monkeypatch, wshape):
-        rng = np.random.default_rng(3)
         xshape = (1, wshape[1], 512, 128)
 
         def run(band_bytes):
             monkeypatch.setattr(T, "BAND_BYTES", band_bytes)
-            x, w, b, proj = conv_case(rng, xshape, wshape, dtype=np.float32)
+            x, w, b, proj = conv_case(np.random.default_rng(3), xshape, wshape, dtype=np.float32)
             out = conv2d(x, w, b)
             (out * proj).sum().backward()
             return out.data, x.grad
 
-        state = rng.bit_generator.state
         whole = run(2**62)
         for band_bytes in (0, T.BAND_BYTES):
-            rng.bit_generator.state = state
             for got, want in zip(run(band_bytes), whole):
                 assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), band_bytes
 
     def test_float32_inference_bands(self, monkeypatch):
-        # a float32 default-config forward of one tile built 1,578 bands when
-        # every map, down to 32x8, was cut into ceil(H / (kh*kw)) rows
+        # with BAND_BYTES 0 every map, down to 32x8, is cut into
+        # ceil(H / (kh*kw)) rows, and this forward makes 1,578 calls
         model = MaskSeparator(NetworkConfig(), seed=0, dtype=np.float32)
         calls = Counter()
         for name in ("_shift_add", "_shifted_columns"):
